@@ -12,10 +12,17 @@
 // oracle in isolation keeps the shared search overhead (candidate
 // enumeration, dependence screening) from diluting the comparison.
 //
+// Each 3-D case also gets one row for the Section 5 ILP route: both sign
+// modes of search::solve_k_equals_n_minus_1 per pass, whose simplex,
+// branch and bound and vertex enumeration run over CheckedRational with a
+// whole-call BigInt restart, against the Rational-only route.  Every field
+// of the two results must match.
+//
 // Output: a human-readable table on stdout and one JSON object per
 // (case, oracle, mode) plus one speedup summary line per (case, oracle),
 // written to $SYSMAP_BENCH_JSON or BENCH_fastpath.json in the working
-// directory.
+// directory; the ILP rows use oracle "ilp_route".  Exits 1 on any parity
+// violation.
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -111,33 +118,87 @@ std::uint64_t verdict_pass(const std::vector<mapping::MappingMatrix>& cands,
   return accepted;
 }
 
+// Best-of-`reps` wall time of one pass in one mode, with the pass's result
+// and the fast-path counters of that best rep.
+template <typename Result>
 struct Timing {
   double ms_per_pass = 0;
-  std::uint64_t accepted = 0;
+  Result result{};
   std::uint64_t attempts = 0;
   std::uint64_t fallbacks = 0;
 };
 
-Timing run_mode(const std::vector<mapping::MappingMatrix>& cands,
-                search::ConflictOracle oracle, const model::IndexSet& set,
-                bool fast, int reps) {
+template <typename Pass>
+auto run_mode(bool fast, int reps, Pass&& pass) -> Timing<decltype(pass())> {
   exact::FastpathGuard guard(fast);
-  Timing best;
+  Timing<decltype(pass())> best;
   for (int rep = 0; rep < reps; ++rep) {
     exact::reset_fastpath_stats();
     auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t accepted = verdict_pass(cands, oracle, set);
+    auto result = pass();
     auto t1 = std::chrono::steady_clock::now();
     double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (rep == 0 || ms < best.ms_per_pass) {
       exact::FastpathStats stats = exact::fastpath_stats();
       best.ms_per_pass = ms;
-      best.accepted = accepted;
+      best.result = std::move(result);
       best.attempts = stats.attempts;
       best.fallbacks = stats.fallbacks;
     }
   }
   return best;
+}
+
+// Repetitions that make one mode run for about 50 ms, calibrated on one
+// BigInt-only pass (1 in smoke mode).
+template <typename Pass>
+int calibrated_reps(bool smoke, Pass&& pass) {
+  if (smoke) return 1;
+  exact::FastpathGuard guard(false);
+  auto t0 = std::chrono::steady_clock::now();
+  pass();
+  auto t1 = std::chrono::steady_clock::now();
+  double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  return ms >= 50 ? 3 : static_cast<int>(50 / (ms + 0.01)) + 3;
+}
+
+// One pass of the Section 5 route for k = n-1: both sign modes.
+std::vector<search::IlpMappingResult> ilp_pass(const Case& c) {
+  return {search::solve_k_equals_n_minus_1(c.algo, c.space,
+                                           search::SignMode::kPositive),
+          search::solve_k_equals_n_minus_1(c.algo, c.space,
+                                           search::SignMode::kOrthants)};
+}
+
+bool same_route(const std::vector<search::IlpMappingResult>& a,
+                const std::vector<search::IlpMappingResult>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].found != b[i].found || a[i].pi != b[i].pi ||
+        a[i].objective != b[i].objective ||
+        a[i].lower_bound != b[i].lower_bound ||
+        a[i].rejected != b[i].rejected || a[i].ilp_nodes != b[i].ilp_nodes) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void print_row(const std::string& name, const std::string& oracle,
+               std::size_t count, double slow_ms, double fast_ms,
+               double speedup, std::uint64_t fallbacks,
+               std::uint64_t attempts) {
+  std::ostringstream row;
+  row.setf(std::ios::fixed);
+  row.precision(3);
+  row << name;
+  for (std::size_t p = name.size(); p < 26; ++p) row << ' ';
+  row << oracle;
+  for (std::size_t p = oracle.size(); p < 16; ++p) row << ' ';
+  row << count << "  " << slow_ms << "  " << fast_ms << "  ";
+  row.precision(2);
+  row << speedup << "x  " << fallbacks << "/" << attempts;
+  std::cout << row.str() << "\n";
 }
 
 }  // namespace
@@ -174,7 +235,8 @@ int main() {
   std::cout << "FASTPATH ablation: Step-5 verdicts (rank test + oracle) "
                "per candidate batch, fast path vs BigInt-only\n";
   std::cout << "case                      oracle          cands  bigint_ms  "
-               "fast_ms  speedup  fallbacks/attempts\n";
+               "fast_ms  speedup  fallbacks/attempts\n"
+               "(ilp_route rows: cands column = branch-and-bound nodes)\n";
 
   for (const Case& c : cases) {
     std::vector<mapping::MappingMatrix> cands =
@@ -186,19 +248,11 @@ int main() {
       }
       // Calibrate rep count on one BigInt pass so each mode runs long
       // enough to time stably, then keep it identical across modes.
-      int reps = 1;
-      if (!smoke) {
-        exact::FastpathGuard guard(false);
-        auto t0 = std::chrono::steady_clock::now();
-        verdict_pass(cands, oracle, set);
-        auto t1 = std::chrono::steady_clock::now();
-        double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        reps = ms >= 50 ? 3 : static_cast<int>(50 / (ms + 0.01)) + 3;
-      }
-      Timing slow = run_mode(cands, oracle, set, /*fast=*/false, reps);
-      Timing fast = run_mode(cands, oracle, set, /*fast=*/true, reps);
-      if (fast.accepted != slow.accepted) {
+      auto pass = [&] { return verdict_pass(cands, oracle, set); };
+      const int reps = calibrated_reps(smoke, pass);
+      Timing<std::uint64_t> slow = run_mode(/*fast=*/false, reps, pass);
+      Timing<std::uint64_t> fast = run_mode(/*fast=*/true, reps, pass);
+      if (fast.result != slow.result) {
         std::cerr << "PARITY VIOLATION in " << c.name << "/"
                   << oracle_name(oracle) << "\n";
         return 1;
@@ -206,28 +260,18 @@ int main() {
       double speedup =
           fast.ms_per_pass > 0 ? slow.ms_per_pass / fast.ms_per_pass : 0;
 
-      std::ostringstream row;
-      row.setf(std::ios::fixed);
-      row.precision(3);
-      row << c.name;
-      for (std::size_t p = c.name.size(); p < 26; ++p) row << ' ';
-      row << oracle_name(oracle);
-      for (std::size_t p = oracle_name(oracle).size(); p < 16; ++p) row << ' ';
-      row << cands.size() << "  " << slow.ms_per_pass << "  "
-          << fast.ms_per_pass << "  ";
-      row.precision(2);
-      row << speedup << "x  " << fast.fallbacks << "/" << fast.attempts;
-      std::cout << row.str() << "\n";
+      print_row(c.name, oracle_name(oracle), cands.size(), slow.ms_per_pass,
+                fast.ms_per_pass, speedup, fast.fallbacks, fast.attempts);
 
       for (bool mode_fast : {false, true}) {
-        const Timing& t = mode_fast ? fast : slow;
+        const auto& t = mode_fast ? fast : slow;
         json << "{\"case\":\"" << c.name << "\""
              << ",\"n\":" << set.dimension() << ",\"oracle\":\""
              << oracle_name(oracle) << "\""
              << ",\"fastpath\":" << (mode_fast ? "true" : "false")
              << ",\"candidates\":" << cands.size()
              << ",\"ms_per_pass\":" << t.ms_per_pass
-             << ",\"accepted\":" << t.accepted
+             << ",\"accepted\":" << t.result
              << ",\"fastpath_attempts\":" << t.attempts
              << ",\"fastpath_fallbacks\":" << t.fallbacks << "}\n";
       }
@@ -235,6 +279,37 @@ int main() {
            << oracle_name(oracle) << "\",\"speedup\":" << speedup << "}\n";
       json.flush();
     }
+    if (set.dimension() != 3) continue;
+
+    // The Section 5 ILP route (k = n-1 for these 1 x 3 spaces).
+    auto pass = [&] { return ilp_pass(c); };
+    const int reps = calibrated_reps(smoke, pass);
+    auto slow = run_mode(/*fast=*/false, reps, pass);
+    auto fast = run_mode(/*fast=*/true, reps, pass);
+    if (!same_route(fast.result, slow.result)) {
+      std::cerr << "PARITY VIOLATION in " << c.name << "/ilp_route\n";
+      return 1;
+    }
+    double speedup =
+        fast.ms_per_pass > 0 ? slow.ms_per_pass / fast.ms_per_pass : 0;
+    std::uint64_t nodes = 0;
+    for (const search::IlpMappingResult& r : fast.result) nodes += r.ilp_nodes;
+    print_row(c.name, "ilp_route", nodes, slow.ms_per_pass, fast.ms_per_pass,
+              speedup, fast.fallbacks, fast.attempts);
+    for (bool mode_fast : {false, true}) {
+      const auto& t = mode_fast ? fast : slow;
+      json << "{\"case\":\"" << c.name << "\""
+           << ",\"n\":" << set.dimension() << ",\"oracle\":\"ilp_route\""
+           << ",\"fastpath\":" << (mode_fast ? "true" : "false")
+           << ",\"ilp_nodes\":" << nodes
+           << ",\"ms_per_pass\":" << t.ms_per_pass
+           << ",\"objective\":" << t.result.front().objective
+           << ",\"fastpath_attempts\":" << t.attempts
+           << ",\"fastpath_fallbacks\":" << t.fallbacks << "}\n";
+    }
+    json << "{\"case\":\"" << c.name
+         << "\",\"oracle\":\"ilp_route\",\"speedup\":" << speedup << "}\n";
+    json.flush();
   }
   json << sysmap::obs::snapshot_json() << "\n";
   json.flush();

@@ -161,4 +161,10 @@ struct RationalOf<CheckedInt> {
   using type = CheckedRational;
 };
 
+/// The inverse map: the integer scalar a rational's floor() and
+/// to_integer() return (BigInt for Rational, CheckedInt for
+/// CheckedRational).
+template <typename Q>
+using IntegerOf = decltype(std::declval<const Q&>().to_integer());
+
 }  // namespace sysmap::exact

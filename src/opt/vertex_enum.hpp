@@ -6,7 +6,8 @@
 // evaluating the objective on them.  This module reproduces that method:
 // every n-subset of the constraint set is solved as an equality system and
 // kept when it satisfies all constraints.  Exponential in general, exact
-// and fast for the paper's n = 3..5.
+// and fast for the paper's n = 3..5.  Like the simplex, it runs on either
+// rational scalar from one template body (opt/lp_impl.hpp).
 #pragma once
 
 #include <optional>
@@ -17,8 +18,12 @@
 namespace sysmap::opt {
 
 /// All vertices of {x : constraints hold} (kEq rows are always active).
-/// Deduplicated.  Intended for n <= 6 and tens of constraints.
+/// Deduplicated, in the order the active sets are enumerated.  Intended for
+/// n <= 6 and tens of constraints.  The checked overload throws
+/// exact::OverflowError when an entry leaves int64.
 std::vector<VecQ> enumerate_vertices(const LinearProgram& lp);
+std::vector<linalg::Vector<exact::CheckedRational>> enumerate_vertices(
+    const CheckedLinearProgram& lp);
 
 /// The appendix's method: enumerate vertices, keep integral ones, return
 /// the minimizer of lp.objective (nullopt when no integral vertex exists).

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
+#include "exact/fastpath.hpp"
 #include "linalg/ops.hpp"
 #include "mapping/conflict.hpp"
 #include "opt/vertex_enum.hpp"
@@ -12,6 +14,7 @@
 namespace sysmap::search {
 
 using exact::BigInt;
+using exact::CheckedRational;
 using exact::Rational;
 
 MatZ conflict_coefficients(const MatI& space) {
@@ -45,70 +48,77 @@ MatZ conflict_coefficients(const MatI& space) {
   return f;
 }
 
-opt::LinearProgram build_branch(const model::UniformDependenceAlgorithm& algo,
-                                const MatZ& f_coeffs, std::size_t row,
-                                int side) {
+namespace {
+
+// Branch (row, side) of (5.1)-(5.2).  With `sigma` (orthant mode, entries
+// +-1) the pi_i >= 1 bounds give way to the sign bounds sigma_i pi_i >= 0,
+// appended last, and the objective becomes sum mu_i sigma_i pi_i.
+template <typename Q>
+opt::BasicLinearProgram<Q> branch_lp(
+    const model::UniformDependenceAlgorithm& algo, const MatZ& f_coeffs,
+    std::size_t row, int side, const std::vector<int>* sigma) {
   const model::IndexSet& set = algo.index_set();
   const MatI& d = algo.dependence_matrix();
   const std::size_t n = set.dimension();
 
-  opt::LinearProgram lp;
+  opt::BasicLinearProgram<Q> lp;
   lp.num_vars = n;
-  lp.objective.assign(n, Rational(0));
+  lp.objective.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    lp.objective[i] = Rational(BigInt(set.mu(i)));
+    Q mu(set.mu(i));
+    lp.objective.push_back(sigma != nullptr && (*sigma)[i] < 0 ? -mu : mu);
   }
   // Positivity: pi_i >= 1 (the paper's Examples 5.1/5.2 regime).
-  for (std::size_t i = 0; i < n; ++i) {
-    lp.add_bound(i, opt::Relation::kGe, Rational(1));
+  if (sigma == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      lp.add_bound(i, opt::Relation::kGe, Q(1));
+    }
   }
   // Pi D > 0, integrally: Pi d_j >= 1.
   for (std::size_t j = 0; j < d.cols(); ++j) {
-    VecQ coeffs(n);
-    for (std::size_t i = 0; i < n; ++i) coeffs[i] = Rational(d(i, j));
-    lp.add(std::move(coeffs), opt::Relation::kGe, Rational(1));
+    linalg::Vector<Q> coeffs;
+    coeffs.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) coeffs.emplace_back(d(i, j));
+    lp.add(std::move(coeffs), opt::Relation::kGe, Q(1));
   }
   // The chosen disjunct of constraint 3: side * F_row . Pi >= mu_row + 1.
-  VecQ coeffs(n);
+  linalg::Vector<Q> coeffs;
+  coeffs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    BigInt c = f_coeffs(row, i);
-    coeffs[i] = Rational(side > 0 ? c : -c);
+    // On the checked side a cofactor must fit in int64; to_int64() throws
+    // OverflowError otherwise, which restarts the route over Rational.
+    Q c;
+    if constexpr (std::is_same_v<Q, Rational>) {
+      c = Q(f_coeffs(row, i));
+    } else {
+      c = Q(f_coeffs(row, i).to_int64());
+    }
+    coeffs.push_back(side > 0 ? c : -c);
   }
-  lp.add(std::move(coeffs), opt::Relation::kGe,
-         Rational(BigInt(set.mu(row)) + BigInt(1)));
+  lp.add(std::move(coeffs), opt::Relation::kGe, Q(set.mu(row)) + Q(1));
+  if (sigma != nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      lp.add_bound(i, (*sigma)[i] > 0 ? opt::Relation::kGe : opt::Relation::kLe,
+                   Q(0));
+    }
+  }
   return lp;
 }
 
-namespace {
-
-// Adds orthant sign constraints and rewrites the objective for sign
-// pattern sigma (entries +-1): |pi_i| = sigma_i pi_i.
-void apply_orthant(opt::LinearProgram& lp, const model::IndexSet& set,
-                   const std::vector<int>& sigma) {
-  const std::size_t n = lp.num_vars;
-  for (std::size_t i = 0; i < n; ++i) {
-    lp.objective[i] =
-        Rational(BigInt(sigma[i] > 0 ? set.mu(i) : -set.mu(i)));
-    lp.add_bound(i, sigma[i] > 0 ? opt::Relation::kGe : opt::Relation::kLe,
-                 Rational(0));
-  }
-}
-
-}  // namespace
-
-IlpMappingResult solve_k_equals_n_minus_1(
-    const model::UniformDependenceAlgorithm& algo, const MatI& space,
-    SignMode sign_mode) {
+// The whole route for one scalar: every branch ILP and the appendix vertex
+// fallback.  Run over CheckedRational first and restarted over Rational by
+// solve_k_equals_n_minus_1, so any overflow anywhere discards the partial
+// result and the answer is always the Rational one.
+template <typename Q>
+IlpMappingResult solve_route(const model::UniformDependenceAlgorithm& algo,
+                             const MatI& space, const MatZ& f_coeffs,
+                             SignMode sign_mode) {
   const model::IndexSet& set = algo.index_set();
   const std::size_t n = set.dimension();
-  if (space.rows() + 2 != n) {
-    throw std::invalid_argument(
-        "solve_k_equals_n_minus_1: S must be (n-2) x n");
-  }
-  MatZ f_coeffs = conflict_coefficients(space);
 
   IlpMappingResult result;
   bool have_lower = false;
+  bool truncated = false;
 
   auto verify = [&](const VecI& pi) {
     mapping::MappingMatrix t(space, pi);
@@ -125,17 +135,20 @@ IlpMappingResult solve_k_equals_n_minus_1(
     }
   };
 
-  auto consider = [&](const opt::LinearProgram& lp) {
-    opt::IntegerProgram ip{lp};
-    opt::IlpSolution sol = opt::solve_ilp(ip);
+  auto consider = [&](opt::BasicLinearProgram<Q> lp) {
+    const opt::BasicIntegerProgram<Q> ip{std::move(lp)};
+    opt::BasicIlpSolution<Q> sol = opt::solve_ilp(ip);
     result.ilp_nodes += sol.nodes;
+    // A truncated branch may hide a cheaper optimum: it voids the bound.
+    if (sol.status == opt::IlpStatus::kNodeLimit) truncated = true;
     if (sol.status != opt::IlpStatus::kOptimal) return;
     Int objective = sol.objective.to_integer().to_int64();
     if (!have_lower || objective < result.lower_bound) {
       result.lower_bound = objective;
       have_lower = true;
     }
-    VecI pi = to_int(sol.x);
+    VecI pi;
+    for (const auto& x : sol.x) pi.push_back(x.to_int64());
     // Verify: the branch constraint used the unscaled gamma(Pi); the true
     // conflict vector is its primitive form (appendix gcd caveat).
     if (verify(pi)) {
@@ -154,18 +167,14 @@ IlpMappingResult solve_k_equals_n_minus_1(
       Int objective;
     };
     std::vector<Candidate> candidates;
-    for (const VecQ& vertex : opt::enumerate_vertices(lp)) {
-      bool integral = true;
-      for (const auto& x : vertex) {
-        if (!x.is_integer()) {
-          integral = false;
-          break;
-        }
+    for (const auto& vertex : opt::enumerate_vertices(ip.relaxation)) {
+      if (!std::all_of(vertex.begin(), vertex.end(),
+                       [](const Q& x) { return x.is_integer(); })) {
+        continue;
       }
-      if (!integral) continue;
       VecI vpi;
       vpi.reserve(vertex.size());
-      for (const auto& x : vertex) vpi.push_back(x.to_integer().to_int64());
+      for (const Q& x : vertex) vpi.push_back(x.to_integer().to_int64());
       Int vobj = schedule::LinearSchedule(vpi).objective(set);
       candidates.push_back({std::move(vpi), vobj});
     }
@@ -186,27 +195,44 @@ IlpMappingResult solve_k_equals_n_minus_1(
   for (std::size_t row = 0; row < n; ++row) {
     for (int side : {+1, -1}) {
       if (sign_mode == SignMode::kPositive) {
-        consider(build_branch(algo, f_coeffs, row, side));
-      } else {
-        // Enumerate all 2^n sign orthants.
-        std::vector<int> sigma(n, -1);
-        for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << n); ++mask) {
-          for (std::size_t i = 0; i < n; ++i) {
-            sigma[i] = (mask >> i) & 1 ? 1 : -1;
-          }
-          opt::LinearProgram lp = build_branch(algo, f_coeffs, row, side);
-          // Drop the pi_i >= 1 bounds added by build_branch: orthant mode
-          // re-derives signs.  They are the first n constraints.
-          lp.constraints.erase(lp.constraints.begin(),
-                               lp.constraints.begin() +
-                                   static_cast<std::ptrdiff_t>(n));
-          apply_orthant(lp, set, sigma);
-          consider(lp);
+        consider(branch_lp<Q>(algo, f_coeffs, row, side, nullptr));
+        continue;
+      }
+      // Enumerate all 2^n sign orthants.
+      std::vector<int> sigma(n, -1);
+      for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << n); ++mask) {
+        for (std::size_t i = 0; i < n; ++i) {
+          sigma[i] = (mask >> i) & 1 ? 1 : -1;
         }
+        consider(branch_lp<Q>(algo, f_coeffs, row, side, &sigma));
       }
     }
   }
+  if (truncated) result.lower_bound = 0;
   return result;
+}
+
+}  // namespace
+
+opt::LinearProgram build_branch(const model::UniformDependenceAlgorithm& algo,
+                                const MatZ& f_coeffs, std::size_t row,
+                                int side) {
+  return branch_lp<Rational>(algo, f_coeffs, row, side, nullptr);
+}
+
+IlpMappingResult solve_k_equals_n_minus_1(
+    const model::UniformDependenceAlgorithm& algo, const MatI& space,
+    SignMode sign_mode) {
+  if (space.rows() + 2 != algo.index_set().dimension()) {
+    throw std::invalid_argument(
+        "solve_k_equals_n_minus_1: S must be (n-2) x n");
+  }
+  const MatZ f_coeffs = conflict_coefficients(space);
+  return exact::with_fallback(
+      [&] {
+        return solve_route<CheckedRational>(algo, space, f_coeffs, sign_mode);
+      },
+      [&] { return solve_route<Rational>(algo, space, f_coeffs, sign_mode); });
 }
 
 }  // namespace sysmap::search

@@ -13,6 +13,11 @@
 // solve_k_equals_n_minus_1 returns the best verified candidate plus the
 // unverified LP lower bound so callers (core::Mapper) can certify global
 // optimality with a bounded Procedure-5.1 sweep.
+//
+// The branch ILPs run on exact rationals, first on machine words
+// (exact::CheckedRational); if any step of the route overflows int64 the
+// whole call restarts over BigInt Rational (exact::with_fallback), so the
+// answer is always the Rational one.
 #pragma once
 
 #include <optional>
@@ -38,8 +43,9 @@ struct IlpMappingResult {
   bool found = false;
   VecI pi;              ///< best verified schedule
   Int objective = 0;    ///< its f value
-  /// Smallest branch relaxation objective (valid lower bound on Problem 2.2
-  /// for this S even when the candidate achieving it failed verification).
+  /// Smallest branch ILP optimum (valid lower bound on Problem 2.2 for this
+  /// S even when the candidate achieving it failed verification); 0 when a
+  /// branch stopped at its node limit, since that branch may hold less.
   Int lower_bound = 0;
   /// Candidates that solved a branch but failed the gcd/conflict check.
   std::vector<VecI> rejected;

@@ -232,16 +232,37 @@ TEST(Ilp, UnboundedRoot) {
   EXPECT_EQ(solve_ilp({lp}).status, IlpStatus::kUnbounded);
 }
 
-TEST(Ilp, NodeLimitTruncates) {
-  LinearProgram lp;
+// max 5x + 4y s.t. 6x + 4y <= 24, x + 2y <= 6, x, y >= 0: the root
+// relaxation's optimum (3, 3/2) is fractional, so it must branch.
+template <typename Q>
+BasicLinearProgram<Q> fractional_root() {
+  BasicLinearProgram<Q> lp;
   lp.num_vars = 2;
-  lp.objective = {q(-5), q(-4)};
-  lp.add({q(6), q(4)}, Relation::kLe, q(24));
-  lp.add({q(1), q(2)}, Relation::kLe, q(6));
-  lp.add_bound(0, Relation::kGe, q(0));
-  lp.add_bound(1, Relation::kGe, q(0));
+  lp.objective = {Q(-5), Q(-4)};
+  lp.add({Q(6), Q(4)}, Relation::kLe, Q(24));
+  lp.add({Q(1), Q(2)}, Relation::kLe, Q(6));
+  lp.add_bound(0, Relation::kGe, Q(0));
+  lp.add_bound(1, Relation::kGe, Q(0));
+  return lp;
+}
+
+TEST(Ilp, NodeLimitTruncates) {
+  const LinearProgram lp = fractional_root<Rational>();
+  ASSERT_FALSE(solve_lp(lp).x[1].is_integer());
   IlpSolution s = solve_ilp({lp}, /*node_limit=*/1);
   EXPECT_EQ(s.status, IlpStatus::kNodeLimit);
+  EXPECT_EQ(s.nodes, 1u);
+  EXPECT_EQ(solve_ilp({lp}).status, IlpStatus::kOptimal);
+}
+
+TEST(Ilp, NodeLimitTruncatesOnCheckedScalar) {
+  using exact::CheckedRational;
+  BasicIlpSolution<CheckedRational> s =
+      solve_ilp(BasicIntegerProgram<CheckedRational>{
+                    fractional_root<CheckedRational>()},
+                /*node_limit=*/1);
+  EXPECT_EQ(s.status, IlpStatus::kNodeLimit);
+  EXPECT_EQ(s.nodes, 1u);
 }
 
 TEST(Ilp, NegativeVariablesSupported) {

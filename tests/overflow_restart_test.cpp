@@ -2,7 +2,8 @@
 // machine-word fast path MUST trap and restart over BigInt, then asserts
 // the restarted verdict is identical to the all-BigInt oracle.  This pins
 // the exactness story of the fast path: overflow is a performance event,
-// never a correctness event.
+// never a correctness event.  This covers the exact kernel (HNF, conflict
+// vectors, the fixed-space screens) and the Section 5 LP/ILP route.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,8 +15,11 @@
 #include "mapping/conflict.hpp"
 #include "mapping/mapping_matrix.hpp"
 #include "mapping/theorems.hpp"
+#include "model/gallery.hpp"
 #include "model/index_set.hpp"
+#include "opt/ilp.hpp"
 #include "search/fixed_space.hpp"
+#include "search/ilp_formulation.hpp"
 
 namespace sysmap {
 namespace {
@@ -187,6 +191,81 @@ TEST(OverflowRestartTest, LargeMuComparisonOverflowParity) {
             << ")";
       }
     }
+  }
+}
+
+// The Section 5 ILP route with an S entry near 2^40: the Prop 3.2
+// cofactors F carry that entry into the branch constraint F_row Pi >=
+// mu_row + 1, and the simplex products built from it leave int64.  The
+// whole route must restart over BigInt and return the oracle's answer.
+MatI near_2_40_space() {
+  MatI s(1, 3);
+  s(0, 0) = (Int{1} << 40) + 1;
+  s(0, 1) = 3;
+  s(0, 2) = 1;
+  return s;
+}
+
+exact::CheckedRational narrow(const exact::Rational& q) {
+  return {exact::CheckedInt(q.num().to_int64()),
+          exact::CheckedInt(q.den().to_int64())};
+}
+
+opt::CheckedLinearProgram narrow(const opt::LinearProgram& lp) {
+  opt::CheckedLinearProgram out;
+  out.num_vars = lp.num_vars;
+  for (const exact::Rational& c : lp.objective) out.objective.push_back(narrow(c));
+  for (const opt::Constraint& row : lp.constraints) {
+    linalg::Vector<exact::CheckedRational> coeffs;
+    for (const exact::Rational& c : row.coeffs) coeffs.push_back(narrow(c));
+    out.add(std::move(coeffs), row.rel, narrow(row.rhs));
+  }
+  return out;
+}
+
+TEST(OverflowRestartTest, IlpRouteOverflowsOnCheckedBranch) {
+  // The overflow comes from the route's own LP arithmetic, not from the
+  // verdicts it calls: a checked branch ILP traps on its own.
+  const model::UniformDependenceAlgorithm algo = model::matmul(4);
+  const MatZ f = search::conflict_coefficients(near_2_40_space());
+  bool trapped = false;
+  for (std::size_t row = 0; row < 3 && !trapped; ++row) {
+    for (int side : {+1, -1}) {
+      const opt::LinearProgram lp = search::build_branch(algo, f, row, side);
+      try {
+        opt::solve_ilp(opt::BasicIntegerProgram<exact::CheckedRational>{
+            narrow(lp)});
+      } catch (const exact::OverflowError&) {
+        trapped = true;
+        break;
+      }
+    }
+  }
+  EXPECT_TRUE(trapped) << "no branch ILP left int64";
+}
+
+TEST(OverflowRestartTest, IlpRouteRestartParity) {
+  const model::UniformDependenceAlgorithm algo = model::matmul(4);
+  const MatI space = near_2_40_space();
+  for (search::SignMode mode :
+       {search::SignMode::kPositive, search::SignMode::kOrthants}) {
+    exact::reset_fastpath_stats();
+    const search::IlpMappingResult viafast =
+        search::solve_k_equals_n_minus_1(algo, space, mode);
+    EXPECT_GE(exact::fastpath_stats().fallbacks, 1u)
+        << "fixture failed to force the restart";
+
+    search::IlpMappingResult oracle;
+    {
+      FastpathGuard off(false);
+      oracle = search::solve_k_equals_n_minus_1(algo, space, mode);
+    }
+    EXPECT_EQ(viafast.found, oracle.found);
+    EXPECT_EQ(viafast.pi, oracle.pi);
+    EXPECT_EQ(viafast.objective, oracle.objective);
+    EXPECT_EQ(viafast.lower_bound, oracle.lower_bound);
+    EXPECT_EQ(viafast.rejected, oracle.rejected);
+    EXPECT_EQ(viafast.ilp_nodes, oracle.ilp_nodes);
   }
 }
 

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "search/space_optimal.hpp"
 #include "sysmap.hpp"
 
@@ -119,8 +120,6 @@ void emit_json(std::ostream& json, const Case& c, Mode mode, const Timing& t,
        << ",\"spaces_tested\":" << t.result.spaces_tested
        << ",\"candidates_per_sec\":" << sps
        << ",\"truncated_spaces\":" << t.result.truncated_spaces
-       << ",\"serial_cutoff\":"
-       << search::SearchOptions{}.streaming_serial_cutoff
        << ",\"found\":" << (t.result.found ? "true" : "false")
        << ",\"objective\":" << (t.result.found ? t.result.objective : Int{0})
        << ",\"cost\":"
@@ -131,17 +130,8 @@ void emit_json(std::ostream& json, const Case& c, Mode mode, const Timing& t,
 
 int main(int argc, char** argv) {
   const bool smoke = std::getenv("SYSMAP_BENCH_SMOKE") != nullptr;
-  std::size_t threads = 4;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (threads == 0) threads = 1;
-    } else {
-      std::cerr << "usage: e2e_throughput [--threads N]\n";
-      return 2;
-    }
-  }
+  const std::size_t threads =
+      sysmap::bench::parse_threads_or_exit(argc, argv, "e2e_throughput");
   const char* path = std::getenv("SYSMAP_BENCH_JSON");
   std::ofstream json(path ? path : "BENCH_e2e.json");
 

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "search/space_optimal.hpp"
 #include "sysmap.hpp"
 
@@ -166,17 +167,8 @@ bool pareto_identical(const search::DesignSpaceResult& a,
 
 int main(int argc, char** argv) {
   const bool smoke = std::getenv("SYSMAP_BENCH_SMOKE") != nullptr;
-  std::size_t threads = 4;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (threads == 0) threads = 1;
-    } else {
-      std::cerr << "usage: space_throughput [--threads N]\n";
-      return 2;
-    }
-  }
+  const std::size_t threads =
+      sysmap::bench::parse_threads_or_exit(argc, argv, "space_throughput");
   const char* path = std::getenv("SYSMAP_BENCH_JSON");
   std::ofstream json(path ? path : "BENCH_space.json");
 

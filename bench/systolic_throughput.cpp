@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "model/gallery.hpp"
 #include "systolic/array.hpp"
 #include "systolic/simulator.hpp"
@@ -132,17 +133,8 @@ void emit_json(std::ostream& json, const Case& c, Mode mode, const Timing& t,
 
 int main(int argc, char** argv) {
   const bool smoke = std::getenv("SYSMAP_BENCH_SMOKE") != nullptr;
-  std::size_t threads = 4;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (threads == 0) threads = 1;
-    } else {
-      std::cerr << "usage: systolic_throughput [--threads N]\n";
-      return 2;
-    }
-  }
+  const std::size_t threads =
+      sysmap::bench::parse_threads_or_exit(argc, argv, "systolic_throughput");
   const char* path = std::getenv("SYSMAP_BENCH_JSON");
   std::ofstream json(path ? path : "BENCH_sim.json");
 

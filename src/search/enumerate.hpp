@@ -3,10 +3,10 @@
 // outermost; magnitude 0 first, then +a before -a).
 //
 // The visitor is a template parameter so the per-candidate dispatch
-// inlines into the search drivers' hot loops; the std::function overload
-// in procedure51.hpp (enumerate_schedules_at) delegates here and visits
-// the exact same sequence.  Both search drivers and the public overload
-// must agree candidate-for-candidate -- the bit-identical statistics
+// inlines into the search's hot loop; the std::function overload in
+// procedure51.hpp (enumerate_schedules_at) delegates here and visits the
+// exact same sequence.  The search and the public overload must agree
+// candidate-for-candidate -- the bit-identical statistics
 // (candidates_tested / candidates_passed_dependence) of the context and
 // seed paths depend on it.
 #pragma once
@@ -79,10 +79,10 @@ bool enumerate_rec(const model::IndexSet& set, Int remaining, std::size_t i,
 
 }  // namespace detail
 
-/// Level-occupancy filter for the sweep drivers: every reachable objective
+/// Level-occupancy filter for the sweep: every reachable objective
 /// f = sum |pi_i| mu_i is a nonnegative integer combination of the mu_i,
 /// hence a multiple of g = gcd_i mu_i -- so levels with f % g != 0 are
-/// provably empty and the drivers skip them without walking the
+/// provably empty and the sweep skips them without walking the
 /// enumeration tree.  Sparse index sets make most levels empty (a cube
 /// with mu = 16 populates only every 16th level) and the fruitless tree
 /// walks otherwise rival the live levels' cost.  The filter is necessary
@@ -108,151 +108,5 @@ bool for_each_schedule_at(const model::IndexSet& set, Int f, Visit&& visit) {
   VecI pi(set.dimension(), 0);
   return detail::enumerate_rec(set, f, 0, pi, visit);
 }
-
-/// Resumable single-level enumerator: yields the EXACT candidate sequence
-/// of for_each_schedule_at(set, f, ...) one Pi per next() call, with the
-/// recursion of detail::enumerate_rec unrolled into an explicit frame
-/// stack so a caller can pull candidates lazily (the streaming parallel
-/// feed draws chunk-sized batches under a lock and must be able to pause
-/// between draws).  Order parity with the recursive template is part of
-/// the determinism contract and is asserted by
-/// tests/streaming_search_test.cpp across random index sets and levels.
-class ScheduleEnumerator {
- public:
-  ScheduleEnumerator(const model::IndexSet& set, Int f)
-      : set_(&set),
-        n_(set.dimension()),
-        f_(f),
-        pi_(set.dimension(), 0),
-        frames_(set.dimension()) {}
-
-  /// Copies the next candidate into `out` and returns true; false once the
-  /// level is exhausted (out is left unspecified).
-  bool next(VecI& out) {
-    if (done_) return false;
-    bool produced = false;
-    if (!started_) {
-      started_ = true;
-      if (f_ >= 0) {
-        if (n_ == 0) {
-          // enumerate_rec visits the empty vector once iff f == 0.
-          produced = f_ == 0;
-          done_ = true;
-          if (produced) out = pi_;
-          return produced;
-        }
-        produced = advance(/*fresh=*/true);
-      }
-    } else {
-      produced = advance(/*fresh=*/false);
-    }
-    if (!produced) {
-      done_ = true;
-      return false;
-    }
-    out = pi_;
-    return true;
-  }
-
-  bool exhausted() const { return done_; }
-
- private:
-  // One frame per assigned coordinate.  `remaining` is the budget BEFORE
-  // this coordinate's contribution; `a`/`negative` encode the current
-  // magnitude and sign exactly as enumerate_rec orders them (0 first, then
-  // +a before -a, magnitudes increasing).
-  struct Frame {
-    Int remaining = 0;
-    Int a = 0;
-    bool negative = false;
-  };
-
-  // One combined descend/backtrack walk over the recursion tree, stopping
-  // at the next emission.  `fresh` starts at the root; otherwise the walk
-  // resumes by advancing past the candidate emitted last time.
-  bool advance(bool fresh) {
-    bool descending = fresh;
-    std::size_t i = fresh ? 0 : n_;
-    Int remaining = fresh ? f_ : 0;
-    for (;;) {
-      if (descending) {
-        if (i == n_) {
-          // Reachable only when the trailing coordinate is weightless
-          // (pinned to 0): emit iff the budget landed exactly on f.
-          if (remaining == 0) return true;
-          descending = false;
-          continue;
-        }
-        const Int mu = set_->mu(i);
-        Frame& fr = frames_[i];
-        fr.remaining = remaining;
-        fr.a = 0;
-        fr.negative = false;
-        pi_[i] = 0;
-        if (mu <= 0) {
-          ++i;  // weightless coordinate pinned to 0 (see enumerate_rec)
-          continue;
-        }
-        if (i + 1 == n_) {
-          if (remaining % mu != 0) {
-            descending = false;  // empty subtree: resume one level up
-            continue;
-          }
-          const Int a = remaining / mu;
-          fr.a = a;
-          pi_[i] = a;
-          return true;
-        }
-        ++i;  // first value of a middle coordinate is 0; budget unchanged
-      } else {
-        if (i == 0) return false;  // root exhausted
-        --i;
-        const Int mu = set_->mu(i);
-        Frame& fr = frames_[i];
-        if (mu <= 0) {
-          pi_[i] = 0;  // pinned: single value, keep popping
-          continue;
-        }
-        if (i + 1 == n_) {
-          if (!fr.negative && fr.a > 0) {
-            fr.negative = true;
-            pi_[i] = -fr.a;
-            return true;
-          }
-          pi_[i] = 0;
-          continue;
-        }
-        Int next_a = 0;
-        bool next_negative = false;
-        if (fr.a == 0) {
-          next_a = 1;
-        } else if (!fr.negative) {
-          next_a = fr.a;
-          next_negative = true;
-        } else {
-          next_a = fr.a + 1;
-        }
-        if (next_a > fr.remaining / mu) {
-          pi_[i] = 0;  // magnitudes exhausted, keep popping
-          continue;
-        }
-        fr.a = next_a;
-        fr.negative = next_negative;
-        pi_[i] = next_negative ? -next_a : next_a;
-        remaining = fr.remaining - next_a * mu;
-        ++i;
-        descending = true;
-      }
-    }
-  }
-
-  const model::IndexSet* set_;
-  std::size_t n_;
-  Int f_;
-  VecI pi_;
-  std::vector<Frame> frames_;
-  bool started_ = false;
-  bool done_ = false;
-};
 
 }  // namespace sysmap::search

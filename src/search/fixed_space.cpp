@@ -15,7 +15,6 @@
 #include "exact/fastpath.hpp"
 #include "lattice/hnf_impl.hpp"
 #include "lattice/kernel.hpp"
-#include "linalg/batch.hpp"
 #include "linalg/ops.hpp"
 #include "mapping/canonical_key.hpp"
 #include "mapping/mapping_matrix.hpp"
@@ -121,9 +120,9 @@ constexpr std::size_t kRawScreenMaxN = 16;
 /// means the right-hand side exceeds |gamma_i|, so the strict test is
 /// false -- the exact BigInt evaluation would say the same.
 ///
-/// The kernel splits into the cofactor product (shared with the batched
-/// panel screen, which computes the same products via linalg::gemm_panel)
-/// and the Theorem 2.2 tail over the resulting gamma.
+/// The kernel splits into the cofactor product (shared with the cached
+/// screen, which needs the raw gamma for its canonical key) and the
+/// Theorem 2.2 tail over the resulting gamma.
 ///
 /// SYSMAP_RAW_FASTPATH(fallback: theorem_3_1_screen)
 bool cross_product_raw(const MatI& cof, const VecI& pi, Int* gamma) {
@@ -143,8 +142,12 @@ bool cross_product_raw(const MatI& cof, const VecI& pi, Int* gamma) {
 }
 
 /// SYSMAP_RAW_FASTPATH(fallback: theorem_3_1_screen)
-std::optional<Thm31Screen> thm31_tail_raw(const Int* gamma, std::size_t n,
-                                          const model::IndexSet& set) {
+std::optional<Thm31Screen> theorem_3_1_screen_raw(const MatI& cof,
+                                                  const VecI& pi,
+                                                  const model::IndexSet& set) {
+  const std::size_t n = cof.rows();
+  Int gamma[kRawScreenMaxN];
+  if (!cross_product_raw(cof, pi, gamma)) return std::nullopt;
   bool all_zero = true;
   Int mag[kRawScreenMaxN];
   Int min_nz = 0;
@@ -177,15 +180,6 @@ std::optional<Thm31Screen> thm31_tail_raw(const Int* gamma, std::size_t n,
     if (mag[i] > rhs) return Thm31Screen::kFeasible;
   }
   return Thm31Screen::kConflict;
-}
-
-/// SYSMAP_RAW_FASTPATH(fallback: theorem_3_1_screen)
-std::optional<Thm31Screen> theorem_3_1_screen_raw(const MatI& cof,
-                                                  const VecI& pi,
-                                                  const model::IndexSet& set) {
-  Int gamma[kRawScreenMaxN];
-  if (!cross_product_raw(cof, pi, gamma)) return std::nullopt;
-  return thm31_tail_raw(gamma, cof.rows(), set);
 }
 
 constexpr std::string_view kThm31AcceptRule =
@@ -371,8 +365,8 @@ struct FixedSpaceContext::Impl {
   // (k = n-1, n <= kRawScreenMaxN only).
   std::optional<MatI> cofactor_raw;
   // BigInt mirror, built on first demand (overflow fallback or a failed
-  // checked precompute); call_once keeps the lazy init safe under the
-  // parallel search's shared-context workers.
+  // checked precompute); call_once keeps the lazy init safe when several
+  // threads query one context.
   mutable std::once_flag big_once;
   mutable std::optional<Data<BigInt>> big_data;
 
@@ -751,132 +745,6 @@ std::optional<ConflictVerdict> FixedSpaceContext::screen(
   }
   if (!has_full_rank(pi)) return std::nullopt;
   return accept(oracle, pi, cache);
-}
-
-bool FixedSpaceContext::screen_batch(
-    ConflictOracle oracle, const std::vector<VecI>& pis,
-    std::vector<std::optional<ConflictVerdict>>& out,
-    VerdictCache* cache) const {
-  return screen_batch(oracle, pis.data(), pis.size(), out, cache);
-}
-
-bool FixedSpaceContext::supports_batch(ConflictOracle oracle) const {
-  const Impl& im = *impl_;
-  return oracle != ConflictOracle::kBruteForce && im.k + 1 == im.n &&
-         im.cofactor_raw.has_value();
-}
-
-bool FixedSpaceContext::screen_batch(
-    ConflictOracle oracle, const VecI* pis, std::size_t count,
-    std::vector<std::optional<ConflictVerdict>>& out,
-    VerdictCache* cache) const {
-  const Impl& im = *impl_;
-  // Batching targets the Prop 3.2 closed form only; everything else keeps
-  // the scalar path (and kBruteForce never consults the context at all).
-  if (oracle == ConflictOracle::kBruteForce || im.k + 1 != im.n ||
-      !im.cofactor_raw) {
-    return false;
-  }
-  const std::size_t n = im.n;
-  const std::size_t b = count;
-  out.assign(b, std::nullopt);
-  if (b == 0) return true;
-
-  linalg::PanelI panel(n, b);
-  for (std::size_t j = 0; j < b; ++j) {
-    for (std::size_t i = 0; i < n; ++i) panel.at(i, j) = pis[j][i];
-  }
-  linalg::PanelI gammas(n, b);
-  // Whole-panel restart on overflow: the fast kernel either completes the
-  // ENTIRE block or reports failure without partial results, and the slow
-  // path recomputes every column over BigInt -- per-column outcomes are
-  // the same either way (one algorithm, two scalar substrates).
-  const bool raw_ok = exact::with_fallback(
-      [&] {
-        if (!linalg::gemm_panel_i64(*im.cofactor_raw, panel, gammas)) {
-          throw exact::OverflowError("batched cofactor panel");
-        }
-        return true;
-      },
-      [&] { return false; });
-
-  if (raw_ok) {
-    for (std::size_t j = 0; j < b; ++j) {
-      const auto* gamma = &gammas.at(0, j);
-      if (cache != nullptr) {
-        bool all_zero = true;
-        bool canon_safe = true;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (gamma[i] != 0) all_zero = false;
-          if (gamma[i] == INT64_MIN) canon_safe = false;
-        }
-        if (all_zero) continue;  // rank reject
-        if (!canon_safe) {
-          out[j] = screen(oracle, pis[j], cache);
-          continue;
-        }
-        out[j] = thm31_cached(vec_from_raw(gamma, n), im.set, oracle, *cache);
-        continue;
-      }
-      const std::optional<Thm31Screen> s = thm31_tail_raw(gamma, n, im.set);
-      if (!s) {
-        // |INT64_MIN| hazard in the tail: the scalar screen's BigInt
-        // restart decides this candidate.
-        out[j] = screen(oracle, pis[j], cache);
-        continue;
-      }
-      if (*s != Thm31Screen::kFeasible) continue;
-      out[j] = mapping::detail::verdict(
-          ConflictVerdict::Status::kConflictFree,
-          "Theorem 3.1: unique conflict vector feasible");
-    }
-  } else {
-    // BigInt panel: same product, same per-column Theorem 2.2 tail.
-    std::vector<BigInt> panel_z(n * b);
-    for (std::size_t j = 0; j < b; ++j) {
-      for (std::size_t i = 0; i < n; ++i) {
-        panel_z[j * n + i] = BigInt(pis[j][i]);
-      }
-    }
-    std::vector<BigInt> gammas_z;
-    linalg::gemm_panel_t(*im.big().cofactor, panel_z, b, gammas_z);
-    for (std::size_t j = 0; j < b; ++j) {
-      linalg::Vector<BigInt> gamma(gammas_z.begin() + j * n,
-                                   gammas_z.begin() + (j + 1) * n);
-      bool all_zero = true;
-      for (const BigInt& g : gamma) {
-        if (!g.is_zero()) {
-          all_zero = false;
-          break;
-        }
-      }
-      if (all_zero) continue;  // rank reject
-      if (cache != nullptr) {
-        out[j] = thm31_cached(gamma, im.set, oracle, *cache);
-        continue;
-      }
-      const VecZ canon = lattice::make_primitive_t(std::move(gamma));
-      if (!mapping::is_feasible_conflict_vector(canon, im.set)) continue;
-      out[j] = mapping::detail::verdict(
-          ConflictVerdict::Status::kConflictFree,
-          "Theorem 3.1: unique conflict vector feasible");
-    }
-  }
-#if SYSMAP_CONTRACTS_ACTIVE
-  for (std::size_t j = 0; j < b; ++j) {
-    // Batch-vs-scalar parity: every column must reproduce the scalar
-    // screen bit for bit (status, rule; accepts carry no witness).
-    const std::optional<ConflictVerdict> scalar = screen(oracle, pis[j]);
-    SYSMAP_CONTRACT(out[j].has_value() == scalar.has_value(),
-                    "batched screen accept/reject diverges from scalar");
-    if (out[j] && scalar) {
-      SYSMAP_CONTRACT(out[j]->status == scalar->status &&
-                          out[j]->rule == scalar->rule,
-                      "batched screen verdict diverges from scalar");
-    }
-  }
-#endif
-  return true;
 }
 
 ConflictVerdict FixedSpaceContext::verdict(ConflictOracle oracle,

@@ -52,9 +52,10 @@ struct SearchOptions {
   /// of its precomputes, so building one is pure overhead.
   bool use_fixed_space_context = true;
   /// Optional canonical-form verdict cache (see search/verdict_cache.hpp).
-  /// Shareable across searches (multi-S sweeps) and across the parallel
-  /// driver's workers; results stay bit-identical -- only the hit/miss
-  /// counters below observe it.  Never consulted under kBruteForce.
+  /// Shareable across searches (multi-S sweeps) and across threads (the
+  /// parallel space sweeps hand one cache to every worker); results stay
+  /// bit-identical -- only the hit/miss counters below observe it.  Never
+  /// consulted under kBruteForce.
   VerdictCache* verdict_cache = nullptr;
   /// Optional caller-owned context for this exact (J, S) pair, borrowed for
   /// the duration of the call; nullptr lets the search build its own.  Lets
@@ -63,15 +64,6 @@ struct SearchOptions {
   /// context construction once.  Ignored when use_fixed_space_context is
   /// false or the oracle is kBruteForce (matching the own-context policy).
   const FixedSpaceContext* context = nullptr;
-  /// Streaming driver only: when the total candidate count through
-  /// max_objective is known to be at most this many, the parallel search
-  /// resolves the whole scan serially on the calling thread before
-  /// spinning up (or even constructing) the worker pool -- tiny problems
-  /// otherwise pay more in chunk traffic than the scan itself costs
-  /// (BENCH_search.json showed ~0.09x on 261-candidate cases).  The serial
-  /// prefix reuses the worker code path chunk by chunk, so every statistic
-  /// stays bit-identical.  0 disables the cutoff.
-  std::size_t streaming_serial_cutoff = 1024;
 };
 
 struct SearchResult {
@@ -85,17 +77,10 @@ struct SearchResult {
   std::uint64_t candidates_passed_dependence = 0;
   /// Verdict-cache traffic attributable to this search (deltas of the
   /// shared cache's counters).  NOT part of the bit-identical result
-  /// contract: parallel interleaving makes per-run counts nondeterministic.
+  /// contract: a cache shared across threads makes per-run counts
+  /// nondeterministic.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Streaming scheduler only: chunks drawn from the shared feed beyond
-  /// each worker's first draw (the work-stealing metric; 0 when serial).
-  std::uint64_t chunks_stolen = 0;
-  /// Streaming scheduler only, advisory: the serial small-problem cutoff
-  /// resolved the search on the calling thread without waking the pool
-  /// (see SearchOptions::streaming_serial_cutoff).  Like the cache and
-  /// steal counters, NOT part of the bit-identical result contract.
-  bool serial_prefix_resolved = false;
 };
 
 /// Runs Procedure 5.1 for algorithm (J, D) and space mapping S.
@@ -112,8 +97,8 @@ bool enumerate_schedules_at(const model::IndexSet& set, Int f,
 
 /// Step 5(3)'s conflict decision for one candidate, from scratch: the
 /// published-theorem dispatch (kPaperTheorems), the library-exact
-/// dispatcher (kExact) or the brute-force baseline.  Shared by the serial
-/// and parallel searches and by FixedSpaceContext's fallback path.
+/// dispatcher (kExact) or the brute-force baseline.  Shared by the
+/// from-scratch search path and by FixedSpaceContext's fallback path.
 mapping::ConflictVerdict run_conflict_oracle(ConflictOracle oracle,
                                              const mapping::MappingMatrix& t,
                                              const model::IndexSet& set);

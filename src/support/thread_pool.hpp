@@ -1,17 +1,16 @@
-// Persistent fork-join worker pool for the parallel search driver.
+// Persistent fork-join worker pool for the parallel space sweeps
+// (search/space_optimal.cpp) and the simulator's conflict, collision and
+// buffer passes (systolic/engine.cpp).
 //
-// The parallel Procedure 5.1 runs one fork-join job per objective level,
-// and real searches scan hundreds of levels before the first hit.
-// Spawning std::thread per level puts thread creation and teardown on the
-// critical path of every level; this pool pays that cost once per search
-// and reuses the same OS threads for every level's job.
+// A caller may run several fork-join jobs on one pool (the simulator runs
+// one per pass); the pool pays thread creation once and reuses the same
+// OS threads for every job.
 //
 // Synchronization is a generation counter: run() publishes the job under
 // the mutex, bumps the generation, and wakes the workers; each worker runs
 // the job once per generation and the last finisher wakes run().  The
 // first exception thrown by any worker is captured and rethrown from
-// run() after the join, so failures behave like the per-level-thread code
-// they replace.
+// run() after the join, so a failed job fails its caller.
 #pragma once
 
 #include <condition_variable>
@@ -61,9 +60,10 @@ class ThreadPool {
   //       happens-after every worker's job body for that generation
   //       (mutex release/acquire pairs carry the ordering).  This is the
   //       fence callers rely on when workers write into caller-owned
-  //       per-worker slots (see parallel_search.cpp): those writes need no
-  //       atomics because the final decrement of active_ sequences them
-  //       before run() returns.
+  //       per-worker slots (the space sweeps' per-worker bests, the
+  //       simulator's per-worker streams): those writes need no atomics
+  //       because the final decrement of active_ sequences them before
+  //       run() returns.
   //   I4  error_ holds the FIRST exception of the current generation;
   //       later ones are dropped.  run() moves it out after the join and
   //       rethrows, so a failure cannot leak into the next generation.

@@ -1,11 +1,12 @@
 // Tests for the fixed-S incremental search engine: warm-started HNF,
 // Proposition 3.2 cofactor closed form, echelon rank replay, golden
 // candidate counts for the schedule enumeration, and bit-identical
-// FixedSpaceContext-vs-seed parity across the gallery, all oracles and
-// several thread counts.
+// FixedSpaceContext-vs-seed parity across the gallery and all oracles.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,7 +17,7 @@
 #include "mapping/verdicts_impl.hpp"
 #include "model/gallery.hpp"
 #include "search/fixed_space.hpp"
-#include "search/parallel_search.hpp"
+#include "search/verdict_cache.hpp"
 
 namespace sysmap::search {
 namespace {
@@ -262,6 +263,13 @@ TEST(FixedSpaceParity, PerCandidateAgainstSeedAcrossOracles) {
     if (c.include_brute_force) {
       oracles.push_back(ConflictOracle::kBruteForce);
     }
+    // One verdict cache per oracle, kept across the whole case, so later
+    // candidates hit entries earlier ones inserted; the cached screen must
+    // still agree with the uncached one on every candidate.
+    std::array<VerdictCache, 3> caches;
+    auto cache_for = [&](ConflictOracle oracle) {
+      return &caches[static_cast<std::size_t>(oracle)];
+    };
     for (Int f = 1; f <= c.max_f; ++f) {
       enumerate_schedules_at(set, f, [&](const VecI& pi) {
         SCOPED_TRACE(c.algo.name() + " f=" + std::to_string(f));
@@ -273,6 +281,8 @@ TEST(FixedSpaceParity, PerCandidateAgainstSeedAcrossOracles) {
           // test does (for k = n-1 it detects this as gamma = C pi = 0).
           for (ConflictOracle oracle : oracles) {
             EXPECT_FALSE(ctx.screen(oracle, pi).has_value());
+            EXPECT_FALSE(
+                ctx.screen(oracle, pi, cache_for(oracle)).has_value());
           }
           return true;  // seed search never consults oracles
         }
@@ -308,6 +318,13 @@ TEST(FixedSpaceParity, PerCandidateAgainstSeedAcrossOracles) {
           if (screened && accepted) {
             EXPECT_EQ(screened->status, accepted->status);
             EXPECT_EQ(screened->rule, accepted->rule);
+          }
+          std::optional<mapping::ConflictVerdict> cached =
+              ctx.screen(oracle, pi, cache_for(oracle));
+          EXPECT_EQ(cached.has_value(), screened.has_value());
+          if (cached && screened) {
+            EXPECT_EQ(cached->status, screened->status);
+            EXPECT_EQ(cached->rule, screened->rule);
           }
         }
         return true;
@@ -372,20 +389,6 @@ TEST(FixedSpaceParity, Procedure51ContextOnOffBitIdentical) {
       SearchResult fast = procedure_5_1(c.algo, c.space, with_ctx);
       SearchResult seed = procedure_5_1(c.algo, c.space, without_ctx);
       expect_identical(seed, fast);
-    }
-  }
-}
-
-TEST(FixedSpaceParity, ParallelContextMatchesSerialSeedAcrossThreads) {
-  for (const ParityCase& c : parity_cases()) {
-    SearchOptions seed_opts;
-    seed_opts.use_fixed_space_context = false;
-    SearchResult seed = procedure_5_1(c.algo, c.space, seed_opts);
-    for (std::size_t threads : {1u, 2u, 5u}) {
-      SCOPED_TRACE(c.algo.name() + " threads=" + std::to_string(threads));
-      SearchResult parallel =
-          procedure_5_1_parallel(c.algo, c.space, {}, threads);
-      expect_identical(seed, parallel);
     }
   }
 }

@@ -2,11 +2,8 @@
 // determinant and rank, adjugate, rational inverse.
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <random>
-#include <vector>
 
-#include "linalg/batch.hpp"
 #include "linalg/matrix_io.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/types.hpp"
@@ -214,58 +211,6 @@ TEST_P(RandomMatrixProperty, BareissAdjugateRankAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomMatrixProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
-
-TEST(GemmPanel, RawKernelMatchesReferenceOnRandomPanels) {
-  std::mt19937 rng(99);
-  std::uniform_int_distribution<Int> entry(-50, 50);
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::size_t m = 1 + static_cast<std::size_t>(rng() % 5);
-    const std::size_t k = 1 + static_cast<std::size_t>(rng() % 5);
-    const std::size_t b = 1 + static_cast<std::size_t>(rng() % 9);
-    MatI a(m, k);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < k; ++j) a(i, j) = entry(rng);
-    }
-    linalg::PanelI panel(k, b);
-    for (std::size_t j = 0; j < b; ++j) {
-      for (std::size_t i = 0; i < k; ++i) panel.at(i, j) = entry(rng);
-    }
-    linalg::PanelI out(m, b);
-    ASSERT_TRUE(linalg::gemm_panel_i64(a, panel, out));
-    // Reference semantics over BigInt, column by column.
-    MatZ a_z = to_bigint(a);
-    std::vector<BigInt> panel_z(k * b);
-    for (std::size_t j = 0; j < b; ++j) {
-      for (std::size_t i = 0; i < k; ++i) {
-        panel_z[j * k + i] = BigInt(panel.at(i, j));
-      }
-    }
-    std::vector<BigInt> out_z;
-    linalg::gemm_panel_t(a_z, panel_z, b, out_z);
-    for (std::size_t j = 0; j < b; ++j) {
-      for (std::size_t i = 0; i < m; ++i) {
-        EXPECT_TRUE(BigInt(out.at(i, j)) == out_z[j * m + i])
-            << "trial " << trial << " (" << i << "," << j << ")";
-      }
-    }
-  }
-}
-
-TEST(GemmPanel, RawKernelReportsOverflowAndShapeMismatch) {
-  const Int big = std::numeric_limits<Int>::max();
-  MatI a{{big, big}};
-  linalg::PanelI panel(2, 1);
-  panel.at(0, 0) = 2;
-  panel.at(1, 0) = 2;
-  linalg::PanelI out(1, 1);
-  EXPECT_FALSE(linalg::gemm_panel_i64(a, panel, out));  // accumulator wrap
-  linalg::PanelI bad(3, 1);
-  EXPECT_FALSE(linalg::gemm_panel_i64(a, bad, out));  // k mismatch
-  std::vector<BigInt> panel_z(3);
-  std::vector<BigInt> out_z;
-  EXPECT_THROW(linalg::gemm_panel_t(to_bigint(a), panel_z, 1, out_z),
-               std::invalid_argument);
-}
 
 }  // namespace
 }  // namespace sysmap

@@ -3,6 +3,10 @@
 // Examples 5.1 and 5.2 as golden results.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "baseline/prior_work.hpp"
 #include "lattice/hnf.hpp"
 #include "linalg/ops.hpp"
@@ -189,6 +193,154 @@ TEST(Example52, ImprovesOnRef22) {
     ASSERT_TRUE(r.found) << "mu=" << mu;
     EXPECT_EQ(r.makespan, mu * (mu + 3) + 1) << "mu=" << mu;
     EXPECT_LT(r.makespan, prior.published_makespan) << "mu=" << mu;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Procedure 5.1 edge cases: oracle agreement, not-found statistics and
+// shape validation, asserted on both the FixedSpaceContext engine and the
+// from-scratch engine (SearchOptions::use_fixed_space_context).
+// ---------------------------------------------------------------------------
+
+void expect_bit_identical(const SearchResult& a, const SearchResult& b) {
+  ASSERT_EQ(a.found, b.found);
+  EXPECT_EQ(a.candidates_tested, b.candidates_tested);
+  EXPECT_EQ(a.candidates_passed_dependence, b.candidates_passed_dependence);
+  if (!a.found) return;
+  EXPECT_EQ(a.pi, b.pi);
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.verdict.status, b.verdict.status);
+  EXPECT_EQ(a.verdict.rule, b.verdict.rule);
+  ASSERT_EQ(a.verdict.witness.has_value(), b.verdict.witness.has_value());
+  if (a.verdict.witness) {
+    ASSERT_EQ(a.verdict.witness->size(), b.verdict.witness->size());
+    for (std::size_t i = 0; i < a.verdict.witness->size(); ++i) {
+      EXPECT_TRUE((*a.verdict.witness)[i] == (*b.verdict.witness)[i]);
+    }
+  }
+  ASSERT_EQ(a.routing.has_value(), b.routing.has_value());
+  if (a.routing) {
+    EXPECT_EQ(a.routing->total_buffers(), b.routing->total_buffers());
+  }
+}
+
+SearchResult run_engine(const model::UniformDependenceAlgorithm& algo,
+                        const MatI& space, SearchOptions opts,
+                        bool use_context) {
+  opts.use_fixed_space_context = use_context;
+  return procedure_5_1(algo, space, opts);
+}
+
+// For k = n-1 every oracle is exact, so all three pick the same Pi.
+TEST(ParallelSearch, OraclesAgree) {
+  for (Int mu : {3, 4}) {
+    SCOPED_TRACE("mu=" + std::to_string(mu));
+    model::UniformDependenceAlgorithm algo = model::matmul(mu);
+    SearchOptions opts;
+    opts.oracle = ConflictOracle::kBruteForce;
+    const SearchResult brute = procedure_5_1(algo, MatI{{1, 1, -1}}, opts);
+    ASSERT_TRUE(brute.found);
+    for (ConflictOracle oracle :
+         {ConflictOracle::kPaperTheorems, ConflictOracle::kExact}) {
+      opts.oracle = oracle;
+      const SearchResult r = procedure_5_1(algo, MatI{{1, 1, -1}}, opts);
+      ASSERT_TRUE(r.found);
+      EXPECT_EQ(r.objective, brute.objective);
+      EXPECT_EQ(r.pi, brute.pi);
+    }
+  }
+}
+
+// Per oracle, the context engine returns the from-scratch engine's result
+// bit for bit: winner, rule, witness and statistics.
+TEST(StreamingSearch, OraclesBitIdenticalAcrossChunks) {
+  model::UniformDependenceAlgorithm algo = model::matmul(3);
+  const MatI space{{1, 1, -1}};
+  for (ConflictOracle oracle :
+       {ConflictOracle::kExact, ConflictOracle::kPaperTheorems,
+        ConflictOracle::kBruteForce}) {
+    SCOPED_TRACE("oracle=" + std::to_string(static_cast<int>(oracle)));
+    SearchOptions opts;
+    opts.oracle = oracle;
+    expect_bit_identical(run_engine(algo, space, opts, false),
+                         run_engine(algo, space, opts, true));
+  }
+}
+
+TEST(ParallelSearch, NotFoundStatsMatchSerial) {
+  model::UniformDependenceAlgorithm algo = model::matmul(4);
+  SearchOptions opts;
+  opts.max_objective = 10;
+  const SearchResult seed = run_engine(algo, MatI{{1, 1, -1}}, opts, false);
+  const SearchResult ctx = run_engine(algo, MatI{{1, 1, -1}}, opts, true);
+  EXPECT_FALSE(seed.found);
+  expect_bit_identical(seed, ctx);
+}
+
+TEST(ParallelSearch, NotFoundMatchesSerial) {
+  // The optimum for mu = 4 is mu(mu+2) = 24; a cap of 5 finds nothing.
+  model::UniformDependenceAlgorithm algo = model::matmul(4);
+  SearchOptions opts;
+  opts.max_objective = 5;
+  for (bool use_context : {true, false}) {
+    SCOPED_TRACE("context=" + std::to_string(use_context));
+    EXPECT_FALSE(run_engine(algo, MatI{{1, 1, -1}}, opts, use_context).found);
+  }
+}
+
+// With no hit, candidates_tested must equal the full candidate stream of
+// levels 1..cap and the dependence tally its independently counted share.
+TEST(StreamingSearch, NotFoundStatsExactAcrossChunks) {
+  model::UniformDependenceAlgorithm algo = model::matmul(4);
+  for (Int cap : {5, 10}) {
+    std::uint64_t tested = 0;
+    std::uint64_t passed = 0;
+    for (Int f = 1; f <= cap; ++f) {
+      enumerate_schedules_at(algo.index_set(), f, [&](const VecI& pi) {
+        ++tested;
+        if (schedule::respects_dependences(pi, algo.dependence_matrix())) {
+          ++passed;
+        }
+        return true;
+      });
+    }
+    SearchOptions opts;
+    opts.max_objective = cap;
+    for (bool use_context : {true, false}) {
+      SCOPED_TRACE("cap=" + std::to_string(cap) +
+                   " context=" + std::to_string(use_context));
+      const SearchResult miss =
+          run_engine(algo, MatI{{1, 1, -1}}, opts, use_context);
+      EXPECT_FALSE(miss.found);
+      EXPECT_EQ(miss.candidates_tested, tested);
+      EXPECT_EQ(miss.candidates_passed_dependence, passed);
+    }
+  }
+}
+
+// S must have n columns.
+TEST(ParallelSearch, ValidatesShapes) {
+  for (bool use_context : {true, false}) {
+    SCOPED_TRACE("context=" + std::to_string(use_context));
+    EXPECT_THROW(run_engine(model::matmul(3), MatI{{1, 1}}, {}, use_context),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        run_engine(model::matmul(3), MatI{{1, 1, -1, 0}}, {}, use_context),
+        std::invalid_argument);
+  }
+}
+
+// S must have n columns and fewer than n rows.
+TEST(StreamingSearch, ValidatesShapes) {
+  for (bool use_context : {true, false}) {
+    SCOPED_TRACE("context=" + std::to_string(use_context));
+    EXPECT_THROW(run_engine(model::matmul(3), MatI{{1, 1}}, {}, use_context),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        run_engine(model::matmul(3), MatI{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}},
+                   {}, use_context),
+        std::invalid_argument);
   }
 }
 

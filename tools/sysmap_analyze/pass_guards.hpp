@@ -1,7 +1,7 @@
 // Pass 1: exactness guards (rules prefixed raw-/fastpath-/narrowing/guard-).
 //
 // Kernel-surface files (src/lattice, src/mapping, src/exact, the hot search
-// and systolic translation units, and the packed-coordinate/batch headers)
+// and systolic translation units, and the packed-coordinate headers)
 // must route every int64 computation through the CheckedInt/BigInt exact
 // scalars; raw machine-word arithmetic is allowed only inside functions that
 // carry a RAW_FASTPATH marker naming their BigInt-restart fallback

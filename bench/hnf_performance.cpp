@@ -1,11 +1,8 @@
-// HNFPERF -- scaling of the exact Hermite-normal-form substrate, plus the
-// DESIGN.md ablations:
-//   - elimination strategy: extended-gcd 2x2 steps vs textbook Euclidean
-//     quotient sweeps (intermediate entry growth differs),
-//   - off-diagonal reduction on/off (entry-size control),
-//   - exact-arithmetic necessity: the same reductions in checked int64
-//     overflow on adversarial inputs where BigInt sails through (reported
-//     as a counter rather than a crash).
+// HNFPERF -- scaling of the exact Hermite-normal-form substrate
+// (extended-gcd elimination with off-diagonal reduction), plus the
+// exact-arithmetic necessity ablation: the same reductions in checked int64
+// overflow on adversarial inputs where BigInt sails through (reported as a
+// counter rather than a crash).
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -33,17 +30,13 @@ MatI random_matrix(std::size_t k, std::size_t n, Int lo, Int hi,
   }
 }
 
-void BM_Hnf_Strategy(benchmark::State& state, lattice::HnfStrategy strategy,
-                     bool reduce) {
+void BM_Hnf_Xgcd(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   const std::size_t n = k + 2;
   MatI t = random_matrix(k, n, -99, 99, 42 + k);
-  lattice::HnfOptions options;
-  options.strategy = strategy;
-  options.reduce_off_diagonal = reduce;
   std::size_t max_bits = 0;
   for (auto _ : state) {
-    lattice::HnfResult r = lattice::hermite_normal_form(t, options);
+    lattice::HnfResult r = lattice::hermite_normal_form(t);
     benchmark::DoNotOptimize(r);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
@@ -53,20 +46,7 @@ void BM_Hnf_Strategy(benchmark::State& state, lattice::HnfStrategy strategy,
   }
   state.counters["max_entry_bits"] = static_cast<double>(max_bits);
 }
-
-void BM_Hnf_Xgcd(benchmark::State& state) {
-  BM_Hnf_Strategy(state, lattice::HnfStrategy::kExtendedGcd, true);
-}
-void BM_Hnf_Euclid(benchmark::State& state) {
-  BM_Hnf_Strategy(state, lattice::HnfStrategy::kEuclidean, true);
-}
-void BM_Hnf_Xgcd_NoReduce(benchmark::State& state) {
-  BM_Hnf_Strategy(state, lattice::HnfStrategy::kExtendedGcd, false);
-}
-
 BENCHMARK(BM_Hnf_Xgcd)->DenseRange(2, 8);
-BENCHMARK(BM_Hnf_Euclid)->DenseRange(2, 8);
-BENCHMARK(BM_Hnf_Xgcd_NoReduce)->DenseRange(2, 8);
 
 // Ablation: where does checked int64 actually fail?  Run the xgcd
 // elimination over int64 with overflow trapping on matrices of growing

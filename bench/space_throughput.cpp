@@ -1,12 +1,11 @@
 // SPACE-THROUGHPUT -- ablation of the Problem 6.1/6.2 sweep engines.
 //
 // Runs the space-optimal search (fixed Pi, sweep all candidate S) end to
-// end for each gallery workload, across four modes:
+// end for each gallery workload, across three modes:
 //   seed            the original serial std::set engine, verbatim
-//   incremental     fast engine, packed-image incremental counting only
-//                   (orbit cache and branch-and-bound off, one thread)
-//   incr_orbit_bnb  fast engine, counting + orbit-canonical count reuse +
-//                   wire-first branch-and-bound (one thread)
+//   incr_orbit_bnb  the fast engine (packed-image incremental counting,
+//                   orbit-canonical count reuse, wire-first
+//                   branch-and-bound) on one thread
 //   parallel        incr_orbit_bnb fanned over the thread pool
 // All modes are bit-identical by construction in (found, space, cost,
 // verdict, candidates_tested) -- this harness asserts that before
@@ -47,14 +46,12 @@ struct Timing {
   search::SpaceSearchResult result;
 };
 
-enum class Mode { kSeed, kIncremental, kIncrOrbitBnb, kParallel };
+enum class Mode { kSeed, kIncrOrbitBnb, kParallel };
 
 const char* mode_name(Mode m) {
   switch (m) {
     case Mode::kSeed:
       return "seed";
-    case Mode::kIncremental:
-      return "incremental";
     case Mode::kIncrOrbitBnb:
       return "incr_orbit_bnb";
     case Mode::kParallel:
@@ -68,28 +65,7 @@ search::SpaceSearchOptions mode_options(const Case& c, Mode mode,
   search::SpaceSearchOptions opts;
   opts.max_entry = c.max_entry;
   opts.array_dims = c.array_dims;
-  switch (mode) {
-    case Mode::kSeed:
-      break;  // flags ignored by the seed engine
-    case Mode::kIncremental:
-      opts.num_threads = 1;
-      opts.use_incremental_count = true;
-      opts.use_orbit_cache = false;
-      opts.use_branch_and_bound = false;
-      break;
-    case Mode::kIncrOrbitBnb:
-      opts.num_threads = 1;
-      opts.use_incremental_count = true;
-      opts.use_orbit_cache = true;
-      opts.use_branch_and_bound = true;
-      break;
-    case Mode::kParallel:
-      opts.num_threads = threads;
-      opts.use_incremental_count = true;
-      opts.use_orbit_cache = true;
-      opts.use_branch_and_bound = true;
-      break;
-  }
+  opts.num_threads = mode == Mode::kParallel ? threads : 1;
   return opts;
 }
 
@@ -195,32 +171,29 @@ int main(int argc, char** argv) {
 
   std::cout << "SPACE-THROUGHPUT: Problem 6.1 sweep engines (" << threads
             << " parallel threads)\n";
-  std::cout << "case                        cands   seed_ms   incr_ms  "
-               "orbit_ms  par_ms   orbit/seed  orbit_hits  pruned\n";
+  std::cout << "case                        cands   seed_ms   fast_ms  "
+               "par_ms   fast/seed  orbit_hits  pruned\n";
 
   bool all_parity_ok = true;
   for (const Case& c : cases) {
     int reps = 1;
     if (!smoke) {
-      // Calibrate on one incremental run so every mode repeats long
-      // enough to time stably, then keep the count identical across
-      // modes.  The seed mode is the slow one, so this stays affordable.
-      Timing probe = run_mode(c, Mode::kIncremental, 1, threads);
+      // Calibrate on one fast run so every fast mode repeats long enough
+      // to time stably, then keep the count identical across them.  The
+      // seed mode is the slow one, so this stays affordable.
+      Timing probe = run_mode(c, Mode::kIncrOrbitBnb, 1, threads);
       reps = probe.ms >= 50 ? 3 : static_cast<int>(50 / (probe.ms + 0.01)) + 3;
     }
     Timing seed = run_mode(c, Mode::kSeed, smoke ? 1 : 3, threads);
-    Timing incr = run_mode(c, Mode::kIncremental, reps, threads);
     Timing orbit = run_mode(c, Mode::kIncrOrbitBnb, reps, threads);
     Timing par = run_mode(c, Mode::kParallel, reps, threads);
-    bool ok = identical(seed.result, incr.result) &&
-              identical(seed.result, orbit.result) &&
+    bool ok = identical(seed.result, orbit.result) &&
               identical(seed.result, par.result);
     if (!ok) {
       std::cerr << "PARITY VIOLATION in " << c.name << "\n";
       all_parity_ok = false;
       continue;
     }
-    double incr_speedup = incr.ms > 0 ? seed.ms / incr.ms : 0;
     double orbit_speedup = orbit.ms > 0 ? seed.ms / orbit.ms : 0;
     double par_speedup = par.ms > 0 ? seed.ms / par.ms : 0;
 
@@ -229,19 +202,17 @@ int main(int argc, char** argv) {
     row.precision(3);
     row << c.name;
     for (std::size_t p = c.name.size(); p < 28; ++p) row << ' ';
-    row << seed.result.candidates_tested << "  " << seed.ms << "  " << incr.ms
-        << "  " << orbit.ms << "  " << par.ms << "  ";
+    row << seed.result.candidates_tested << "  " << seed.ms << "  "
+        << orbit.ms << "  " << par.ms << "  ";
     row.precision(2);
     row << orbit_speedup << "x  " << orbit.result.orbit_hits << "  "
         << orbit.result.bnb_pruned << "+" << orbit.result.walks_early_exited;
     std::cout << row.str() << "\n";
 
     emit_json(json, c, Mode::kSeed, seed, threads);
-    emit_json(json, c, Mode::kIncremental, incr, threads);
     emit_json(json, c, Mode::kIncrOrbitBnb, orbit, threads);
     emit_json(json, c, Mode::kParallel, par, threads);
     json << "{\"case\":\"" << c.name << "\",\"threads\":" << threads
-         << ",\"incremental_vs_seed\":" << incr_speedup
          << ",\"incr_orbit_bnb_vs_seed\":" << orbit_speedup
          << ",\"parallel_vs_seed\":" << par_speedup << "}\n";
     json.flush();

@@ -48,19 +48,19 @@ HnfResult checked_result(const MatZ& t, HnfResult r) {
 
 }  // namespace
 
-HnfResult hermite_normal_form(const MatZ& t, const HnfOptions& options) {
-  return checked_result(t, detail::hermite_normal_form_t<BigInt>(t, options));
+HnfResult hermite_normal_form(const MatZ& t) {
+  return checked_result(t, detail::hermite_normal_form_t<BigInt>(t));
 }
 
-HnfResult hermite_normal_form(const MatI& t, const HnfOptions& options) {
+HnfResult hermite_normal_form(const MatI& t) {
   HnfResult r = exact::with_fallback(
       [&]() -> HnfResult {
         BasicHnfResult<CheckedInt> fast =
-            detail::hermite_normal_form_t<CheckedInt>(to_checked(t), options);
+            detail::hermite_normal_form_t<CheckedInt>(to_checked(t));
         return {to_bigint(fast.h), to_bigint(fast.u), to_bigint(fast.v)};
       },
       [&] {
-        return detail::hermite_normal_form_t<BigInt>(to_bigint(t), options);
+        return detail::hermite_normal_form_t<BigInt>(to_bigint(t));
       });
   return checked_result(to_bigint(t), std::move(r));
 }

@@ -14,13 +14,6 @@
 
 namespace sysmap::lattice {
 
-/// Column-elimination strategy; the two differ in intermediate entry growth
-/// and are compared in bench/hnf_performance.
-enum class HnfStrategy {
-  kExtendedGcd,  ///< one 2x2 unimodular gcd step per eliminated entry
-  kEuclidean,    ///< repeated quotient-subtract sweeps (textbook Euclid)
-};
-
 /// Result of the decomposition T * U = H, with V = U^{-1}, over any exact
 /// scalar (BigInt, or CheckedInt on the machine-word fast path).
 template <typename T>
@@ -32,23 +25,16 @@ struct BasicHnfResult {
 
 using HnfResult = BasicHnfResult<exact::BigInt>;
 
-/// Options controlling the reduction.
-struct HnfOptions {
-  HnfStrategy strategy = HnfStrategy::kExtendedGcd;
-  /// Reduce sub-diagonal columns modulo the pivot column to curb entry
-  /// growth (keeps H lower triangular; off for the "naive" ablation).
-  bool reduce_off_diagonal = true;
-};
-
-/// Computes the column HNF of a full-row-rank matrix.
-/// Throws std::domain_error when rank(T) < rows(T).
-HnfResult hermite_normal_form(const MatZ& t, const HnfOptions& options = {});
+/// Computes the column HNF of a full-row-rank matrix by extended-gcd column
+/// elimination, reducing the columns left of each pivot modulo the pivot to
+/// curb entry growth.  Throws std::domain_error when rank(T) < rows(T).
+HnfResult hermite_normal_form(const MatZ& t);
 
 /// Convenience overload for machine-integer matrices.  This entry point
 /// carries the machine-word fast path: the reduction first runs over
 /// CheckedInt and transparently restarts over BigInt if any intermediate
 /// overflows int64 (see exact/fastpath.hpp).
-HnfResult hermite_normal_form(const MatI& t, const HnfOptions& options = {});
+HnfResult hermite_normal_form(const MatI& t);
 
 /// True when m is square, integral and |det m| == 1.
 bool is_unimodular(const MatZ& m);

@@ -146,64 +146,27 @@ void eliminate_row_xgcd(ColumnOps<T>& ops, std::size_t row, std::size_t pivot,
   }
 }
 
-template <typename T>
-void eliminate_row_euclid(ColumnOps<T>& ops, std::size_t row,
-                          std::size_t pivot, std::size_t n) {
-  // Repeatedly subtract quotient multiples of the smallest nonzero entry
-  // from the others until only the pivot position is nonzero.
-  for (;;) {
-    // Find column with smallest nonzero |entry| in this row, at >= pivot.
-    std::size_t best = n;
-    for (std::size_t j = pivot; j < n; ++j) {
-      const T& x = ops.h()(row, j);
-      if (x.is_zero()) continue;
-      if (best == n || x.abs() < ops.h()(row, best).abs()) {
-        best = j;
-      }
-    }
-    if (best == n) return;  // all zero; caller handles rank failure
-    ops.swap(pivot, best);
-    bool any = false;
-    for (std::size_t j = pivot + 1; j < n; ++j) {
-      const T& b = ops.h()(row, j);
-      if (b.is_zero()) continue;
-      T q = T::floor_div(b, ops.h()(row, pivot));
-      ops.add_multiple(j, -q, pivot);
-      if (!ops.h()(row, j).is_zero()) any = true;
-    }
-    if (!any) return;
-  }
-}
-
 // One full HNF step for row i: eliminate to the right of the pivot, enforce
-// a positive pivot, and (optionally) reduce the columns left of it.  The
+// a positive pivot, and reduce the columns left of it.  The
 // chosen column operations depend ONLY on row i of H, which is what makes
 // the fixed-prefix warm start below bit-identical to a from-scratch run.
 template <typename T>
-void hnf_process_row(ColumnOps<T>& ops, std::size_t i, std::size_t n,
-                     const HnfOptions& options) {
-  if (options.strategy == HnfStrategy::kExtendedGcd) {
-    eliminate_row_xgcd(ops, i, i, n);
-  } else {
-    eliminate_row_euclid(ops, i, i, n);
-  }
+void hnf_process_row(ColumnOps<T>& ops, std::size_t i, std::size_t n) {
+  eliminate_row_xgcd(ops, i, i, n);
   if (ops.h()(i, i).is_zero()) {
     throw std::domain_error("hnf: matrix does not have full row rank");
   }
   if (ops.h()(i, i).is_negative()) ops.negate(i);
-  if (options.reduce_off_diagonal) {
-    // Reduce columns left of the pivot modulo the pivot column.  Column i
-    // is zero above row i, so this cannot disturb already-triangular rows.
-    for (std::size_t j = 0; j < i; ++j) {
-      T q = T::floor_div(ops.h()(i, j), ops.h()(i, i));
-      ops.add_multiple(j, -q, i);
-    }
+  // Reduce columns left of the pivot modulo the pivot column.  Column i is
+  // zero above row i, so this cannot disturb already-triangular rows.
+  for (std::size_t j = 0; j < i; ++j) {
+    T q = T::floor_div(ops.h()(i, j), ops.h()(i, i));
+    ops.add_multiple(j, -q, i);
   }
 }
 
 template <typename T>
-BasicHnfResult<T> hermite_normal_form_t(const linalg::Matrix<T>& t,
-                                        const HnfOptions& options = {}) {
+BasicHnfResult<T> hermite_normal_form_t(const linalg::Matrix<T>& t) {
   const std::size_t k = t.rows();
   const std::size_t n = t.cols();
   if (k > n) {
@@ -211,7 +174,7 @@ BasicHnfResult<T> hermite_normal_form_t(const linalg::Matrix<T>& t,
         "hnf: more rows than columns cannot be full row rank [L, 0]");
   }
   ColumnOps<T> ops(t, n);
-  for (std::size_t i = 0; i < k; ++i) hnf_process_row(ops, i, n, options);
+  for (std::size_t i = 0; i < k; ++i) hnf_process_row(ops, i, n);
   return std::move(ops).take();
 }
 
@@ -232,23 +195,21 @@ struct HnfPrefix {
   linalg::Matrix<T> h;  ///< rows(s) x n, the eliminated prefix s * u
   linalg::Matrix<T> u;  ///< n x n accumulated unimodular multiplier
   linalg::Matrix<T> v;  ///< n x n, inverse of u
-  HnfOptions options;   ///< must match the options of the final step
 };
 
 /// Eliminates every row of s (throws std::domain_error when s does not have
 /// full row rank).  s may have zero rows.
 template <typename T>
-HnfPrefix<T> hermite_prefix_t(const linalg::Matrix<T>& s,
-                              const HnfOptions& options = {}) {
+HnfPrefix<T> hermite_prefix_t(const linalg::Matrix<T>& s) {
   const std::size_t rows = s.rows();
   const std::size_t n = s.cols();
   if (rows >= n) {
     throw std::domain_error("hnf prefix: need at least one free row below");
   }
   ColumnOps<T> ops(s, n);
-  for (std::size_t i = 0; i < rows; ++i) hnf_process_row(ops, i, n, options);
+  for (std::size_t i = 0; i < rows; ++i) hnf_process_row(ops, i, n);
   BasicHnfResult<T> r = std::move(ops).take();
-  return {std::move(r.h), std::move(r.u), std::move(r.v), options};
+  return {std::move(r.h), std::move(r.u), std::move(r.v)};
 }
 
 /// Completes the HNF of [prefix rows; last] from the saved state: transforms
@@ -271,7 +232,7 @@ BasicHnfResult<T> hermite_extend_row_t(const HnfPrefix<T>& prefix,
     h(rows, j) = std::move(sum);
   }
   ColumnOps<T> ops(std::move(h), prefix.u, prefix.v);
-  hnf_process_row(ops, rows, n, prefix.options);
+  hnf_process_row(ops, rows, n);
   return std::move(ops).take();
 }
 

@@ -115,7 +115,6 @@ bool build_level_prefix(const model::IndexSet& set, Int max,
 struct MappingPipeline::Fusion {
   VerdictCache* cache = nullptr;
   std::unique_ptr<VerdictCache> owned_cache;
-  bool use_orbit = true;
 
   struct Entry {
     bool found = false;
@@ -221,7 +220,6 @@ void MappingPipeline::enable_fusion(const FusionOptions& fusion) {
     fusion_->owned_cache = std::make_unique<VerdictCache>();
     fusion_->cache = fusion_->owned_cache.get();
   }
-  fusion_->use_orbit = fusion.use_schedule_orbit_cache;
 }
 
 MappingPipeline::FusionStats MappingPipeline::fusion_stats() const {
@@ -376,8 +374,7 @@ MappingSolution MappingPipeline::solve(
   // and statistics as the cold scan, with every level below f* recovered
   // from the closed-form prefix counts instead of re-screened.
   search_options.context = shared_context();
-  const bool orbit_usable = fusion != nullptr && fusion->use_orbit &&
-                            !options_.target &&
+  const bool orbit_usable = fusion != nullptr && !options_.target &&
                             fusion->prepare(algo, resolved_max);
   SearchResult result;
   bool resolved = false;

@@ -109,16 +109,15 @@ class MappingPipeline {
     /// borrowed, must outlive the pipeline.  nullptr lets the pipeline own
     /// a private one (the common sweep setup).
     VerdictCache* verdict_cache = nullptr;
-    /// Reuse certified optimal objectives across candidates in the same
-    /// schedule orbit (mapping::canonical_space_schedule_key).  Skipped
-    /// automatically when a target interconnect is set (routing reads S D,
-    /// which the orbit moves do not preserve).
-    bool use_schedule_orbit_cache = true;
   };
 
   /// Arms the fused path.  Call once, before the first score(); the
   /// per-algorithm state (orbit entries, level-prefix counts) resets
-  /// automatically when score() sees a different algorithm.
+  /// automatically when score() sees a different algorithm.  The fused
+  /// path reuses certified optimal objectives across candidates in the
+  /// same schedule orbit (mapping::canonical_space_schedule_key), except
+  /// when a target interconnect is set (routing reads S D, which the orbit
+  /// moves do not preserve).
   void enable_fusion(const FusionOptions& fusion);
   bool fusion_enabled() const { return fusion_ != nullptr; }
 

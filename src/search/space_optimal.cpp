@@ -308,14 +308,12 @@ struct SweepStats {
 // advisory stats differ.
 class ProcessorCounter {
  public:
-  ProcessorCounter(const model::IndexSet& set, const SpaceSearchOptions& opt,
-                   std::uint64_t points, bool points_known,
-                   ImageCountCache* counts)
+  ProcessorCounter(const model::IndexSet& set, std::uint64_t points,
+                   bool points_known, ImageCountCache& counts)
       : set_(&set),
-        options_(&opt),
         points_(points),
         points_known_(points_known),
-        counts_(counts),
+        counts_(&counts),
         images_(points_known ? static_cast<std::size_t>(
                                    std::min<std::uint64_t>(points, 1u << 20))
                              : 64) {}
@@ -324,36 +322,32 @@ class ProcessorCounter {
   /// count > exit_above (candidate strictly loses).
   std::optional<Int> count(const MatI& space, Int exit_above,
                            SweepStats& stats) {
-    std::optional<mapping::ConflictKey> orbit_key;
-    if (counts_ != nullptr) {
-      orbit_key = mapping::canonical_space_orbit_key(space, *set_);
-      if (std::optional<Int> hit = counts_->lookup(*orbit_key)) {
-        ++stats.orbit_hits;
-        return *hit;
-      }
+    const mapping::ConflictKey orbit_key =
+        mapping::canonical_space_orbit_key(space, *set_);
+    if (std::optional<Int> hit = counts_->lookup(orbit_key)) {
+      ++stats.orbit_hits;
+      return *hit;
     }
     Int exact_count = -1;
-    if (options_->use_incremental_count) {
-      const std::optional<support::ImagePacking> packing =
-          support::ImagePacking::build(space, *set_);
-      if (packing && points_known_ && points_ >= kInjectivityMinPoints &&
-          packing->product >= points_ && injective_on_box(*set_, space)) {
-        ++stats.injective_shortcuts;
-        exact_count = static_cast<Int>(points_);
-      } else if (packing) {
-        exact_count =
-            count_images_packed(*set_, space, *packing, images_, exit_above);
-        if (exact_count < 0) return std::nullopt;  // early exit: loses
-      }
+    const std::optional<support::ImagePacking> packing =
+        support::ImagePacking::build(space, *set_);
+    if (!packing) {
+      exact_count = count_images_generic(*set_, space);
+    } else if (points_known_ && points_ >= kInjectivityMinPoints &&
+               packing->product >= points_ && injective_on_box(*set_, space)) {
+      ++stats.injective_shortcuts;
+      exact_count = static_cast<Int>(points_);
+    } else {
+      exact_count =
+          count_images_packed(*set_, space, *packing, images_, exit_above);
+      if (exact_count < 0) return std::nullopt;  // early exit: loses
     }
-    if (exact_count < 0) exact_count = count_images_generic(*set_, space);
-    if (counts_ != nullptr) counts_->insert(*orbit_key, exact_count);
+    counts_->insert(orbit_key, exact_count);
     return exact_count;
   }
 
  private:
   const model::IndexSet* set_;
-  const SpaceSearchOptions* options_;
   std::uint64_t points_;
   bool points_known_;
   ImageCountCache* counts_;
@@ -589,8 +583,6 @@ SpaceSearchResult space_optimal_mapping(
   }
 
   ImageCountCache counts;
-  ImageCountCache* counts_ptr =
-      options.use_orbit_cache ? &counts : nullptr;
   SpaceFeed feed(n, options);
   std::atomic<Int> best_total{kNoIncumbent};
   const std::size_t workers =
@@ -599,8 +591,7 @@ SpaceSearchResult space_optimal_mapping(
 
   auto body = [&](std::size_t w) {
     LocalBest& local = locals[w];
-    ProcessorCounter counter(set, options, points, /*points_known=*/true,
-                             counts_ptr);
+    ProcessorCounter counter(set, points, /*points_known=*/true, counts);
     SpaceChunk chunk;
     while (feed.draw(kChunk, chunk)) {
       for (std::size_t i = 0; i < chunk.len; ++i) {
@@ -613,14 +604,12 @@ SpaceSearchResult space_optimal_mapping(
         // the fewer-processors tie-break survives).  The bound only ever
         // holds totals of fully verified candidates, so a pruned
         // candidate can never be the lexicographic winner.
-        if (options.use_branch_and_bound) {
-          const Int bound = best_total.load(std::memory_order_relaxed);
-          if (bound != kNoIncumbent &&
-              exceeds_strictly(wire, processor_lower_bound(space, set),
-                               bound)) {
-            ++local.stats.bnb_pruned;
-            continue;
-          }
+        const Int bound = best_total.load(std::memory_order_relaxed);
+        if (bound != kNoIncumbent &&
+            exceeds_strictly(wire, processor_lower_bound(space, set),
+                             bound)) {
+          ++local.stats.bnb_pruned;
+          continue;
         }
 
         // Conflict screen -- branch-for-branch the seed's.
@@ -641,12 +630,10 @@ SpaceSearchResult space_optimal_mapping(
         // Branch-and-bound gate 2: cut the image walk once the running
         // distinct-image count alone loses strictly.
         Int exit_above = -1;
-        if (options.use_branch_and_bound) {
-          const Int bound = best_total.load(std::memory_order_relaxed);
-          if (bound != kNoIncumbent) {
-            exit_above =
-                bound >= wire ? exact::sub_checked(bound, wire) : Int{0};
-          }
+        const Int incumbent = best_total.load(std::memory_order_relaxed);
+        if (incumbent != kNoIncumbent) {
+          exit_above =
+              incumbent >= wire ? exact::sub_checked(incumbent, wire) : Int{0};
         }
         const std::optional<Int> procs =
             counter.count(space, exit_above, local.stats);
@@ -780,8 +767,6 @@ DesignSpaceResult explore_design_space(
   }
 
   ImageCountCache counts;
-  ImageCountCache* counts_ptr =
-      options.use_orbit_cache ? &counts : nullptr;
   SpaceFeed feed(n, options);
   const std::size_t workers =
       options.num_threads <= 1 ? 1 : options.num_threads;
@@ -795,14 +780,12 @@ DesignSpaceResult explore_design_space(
   MappingPipeline pipeline(fused_options);
   MappingPipeline::FusionOptions fusion;
   fusion.verdict_cache = options.verdict_cache;
-  fusion.use_schedule_orbit_cache = options.use_schedule_cache;
   pipeline.enable_fusion(fusion);
   std::vector<std::vector<std::pair<std::uint64_t, DesignPoint>>> accepted(
       workers);
 
   auto body = [&](std::size_t w) {
-    ProcessorCounter counter(set, options, points_count, points_known,
-                             counts_ptr);
+    ProcessorCounter counter(set, points_count, points_known, counts);
     SpaceChunk chunk;
     while (feed.draw(kChunk, chunk)) {
       for (std::size_t i = 0; i < chunk.len; ++i) {
@@ -960,15 +943,12 @@ JointMappingResult joint_time_optimal_mapping(
   }
 
   ImageCountCache counts;
-  ImageCountCache* counts_ptr =
-      options.use_orbit_cache ? &counts : nullptr;
   SpaceFeed feed(n, options);
   PipelineOptions fused_options;
   fused_options.design_array = false;
   MappingPipeline pipeline(fused_options);
   MappingPipeline::FusionOptions fusion;
   fusion.verdict_cache = options.verdict_cache;
-  fusion.use_schedule_orbit_cache = options.use_schedule_cache;
   pipeline.enable_fusion(fusion);
 
   // Cross-space incumbent on the schedule objective.  The cap is the best
@@ -984,20 +964,16 @@ JointMappingResult joint_time_optimal_mapping(
 
   auto body = [&](std::size_t w) {
     LocalJointBest& local = locals[w];
-    ProcessorCounter counter(set, options, points_count, points_known,
-                             counts_ptr);
+    ProcessorCounter counter(set, points_count, points_known, counts);
     SpaceChunk chunk;
     SweepStats scratch;
     while (feed.draw(kChunk, chunk)) {
       for (std::size_t i = 0; i < chunk.len; ++i) {
         const MatI& space = chunk.spaces[i];
         const std::uint64_t pos = chunk.base + i;
-        Int cap = MappingPipeline::kNoCap;
-        if (options.use_branch_and_bound) {
-          const Int incumbent =
-              best_objective.load(std::memory_order_relaxed);
-          if (incumbent != kNoIncumbent) cap = incumbent;
-        }
+        const Int incumbent = best_objective.load(std::memory_order_relaxed);
+        const Int cap =
+            incumbent != kNoIncumbent ? incumbent : MappingPipeline::kNoCap;
         MappingSolution solution;
         try {
           solution = pipeline.score(algo, space, cap);

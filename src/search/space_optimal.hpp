@@ -22,13 +22,15 @@
 // injectivity shortcut via the kernel lattice, orbit-canonical processor
 // count reuse (mapping::canonical_space_orbit_key), wire-first
 // branch-and-bound pruning and an optional deterministic parallel sweep.
-// space_optimal_mapping_seed / explore_design_space_seed preserve the
-// original serial std::set engines verbatim.  The two are BIT-IDENTICAL
-// in (found, space, cost, verdict, candidates_tested) respectively
-// (pareto, spaces_tested, feasible_spaces) for every option combination
-// and thread count -- tests/space_search_test.cpp holds the pair equal
-// case by case.  Only the advisory counters (cache/orbit/prune stats) may
-// differ between engines, modes and interleavings.
+// These are always on: each was measured against the seed (BENCH_space.json)
+// and none changes an answer.  space_optimal_mapping_seed /
+// explore_design_space_seed preserve the original serial std::set engines
+// verbatim.  The two are BIT-IDENTICAL in (found, space, cost, verdict,
+// candidates_tested) respectively (pareto, spaces_tested, feasible_spaces)
+// for every thread count and verdict-cache setting --
+// tests/space_search_test.cpp holds the pair equal case by case.  Only the
+// advisory counters (cache/orbit/prune stats) may differ between engines
+// and interleavings.
 #pragma once
 
 #include <cstdint>
@@ -62,28 +64,6 @@ struct SpaceSearchOptions {
   /// caller thread.  Results are bit-identical for every thread count:
   /// the parallel reduction reproduces the serial incumbent order.
   std::size_t num_threads = 1;
-  /// Count processors by the incremental packed-image walk (plus the
-  /// kernel-lattice injectivity shortcut) instead of the std::set walk.
-  /// Both are exact; this is purely a speed switch for benchmarking.
-  bool use_incremental_count = true;
-  /// Reuse processor counts across candidates in the same cost orbit
-  /// (mapping::canonical_space_orbit_key).  Exact by the orbit-invariance
-  /// argument documented there.
-  bool use_orbit_cache = true;
-  /// Wire-first branch-and-bound: skip candidates whose wire length plus
-  /// a per-row processor lower bound already exceeds the incumbent total
-  /// strictly, and cut image walks short once the running count alone
-  /// loses strictly.  Never fires on ties, so the seed tie-break order
-  /// (fewer processors at equal total, then first-seen) is preserved.
-  /// joint_time_optimal_mapping additionally gates its cross-space
-  /// schedule-objective incumbent (strict-only as well) on this flag.
-  bool use_branch_and_bound = true;
-  /// Fused sweeps only (explore_design_space, joint_time_optimal_mapping):
-  /// reuse certified optimal schedule objectives across candidate spaces
-  /// in the same schedule orbit (mapping::canonical_space_schedule_key).
-  /// Bit-identical -- an orbit hit re-runs the search seeded at the
-  /// certified optimum, reproducing the cold winner and statistics.
-  bool use_schedule_cache = true;
 };
 
 struct ArrayCost {
@@ -105,7 +85,7 @@ struct SpaceSearchResult {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// Advisory fast-engine statistics, EXCLUDED from the bit-identical
-  /// contract (they depend on mode flags and parallel interleaving):
+  /// contract (they depend on parallel interleaving):
   /// processor counts served by the orbit cache, candidates skipped by the
   /// wire+lower-bound prune, image walks cut short by the incumbent bound,
   /// and processor counts decided by the closed-form injectivity test.
@@ -124,8 +104,7 @@ SpaceSearchResult space_optimal_mapping(
     const SpaceSearchOptions& options = {});
 
 /// The original serial engine, preserved verbatim as the parity oracle
-/// for tests and the "seed" bench mode.  Ignores the fast-engine option
-/// flags (num_threads, use_*).
+/// for tests and the "seed" bench mode.  Ignores num_threads.
 SpaceSearchResult space_optimal_mapping_seed(
     const model::UniformDependenceAlgorithm& algo, const VecI& pi,
     const SpaceSearchOptions& options = {});
@@ -186,7 +165,8 @@ struct JointMappingResult {
 /// are never truncated, so cost tie-breaks and the serial winner survive),
 /// and the sweep parallelizes over spaces with a deterministic
 /// (objective, total, processors, pos) reduction -- bit-identical to
-/// joint_time_optimal_mapping_seed for every thread count and cache flag.
+/// joint_time_optimal_mapping_seed for every thread count and verdict
+/// cache.
 JointMappingResult joint_time_optimal_mapping(
     const model::UniformDependenceAlgorithm& algo,
     const SpaceSearchOptions& options = {});

@@ -785,11 +785,9 @@ SimulationReport simulate_engine(const model::UniformDependenceAlgorithm& algo,
                                  const model::SemanticAlgorithm* semantic,
                                  const SimulationOptions& options) {
   SYSMAP_SPAN("systolic.simulate");
-  if (!options.force_fallback) {
-    if (std::optional<FlatPlan> plan = FlatPlan::build(algo, design)) {
-      SYSMAP_COUNT("systolic.flat_runs", 1);
-      return run_flat(*plan, design, semantic, options);
-    }
+  if (std::optional<FlatPlan> plan = FlatPlan::build(algo, design)) {
+    SYSMAP_COUNT("systolic.flat_runs", 1);
+    return run_flat(*plan, design, semantic, options);
   }
   SYSMAP_COUNT("systolic.seed_fallbacks", 1);
   return simulate_seed_impl(algo, design, semantic);

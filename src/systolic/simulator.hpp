@@ -103,9 +103,6 @@ struct SimulationOptions {
   /// Workers for the conflict/link/buffer passes (support::ThreadPool).
   /// 1 keeps everything on the calling thread.
   std::size_t num_threads = 1;
-  /// Skip the packed flat path and run the tree-map fallback (the seed
-  /// algorithm); used by the parity tests to exercise the fallback oracle.
-  bool force_fallback = false;
 };
 
 /// Structural simulation (no values).

@@ -119,6 +119,12 @@ TEST(CliTest, NonPositiveNumericOptionsAreRejected) {
   EXPECT_EQ(run_cli("--algo matmul --mu 0 --space \"1 1 -1\"").exit_code, 2);
   EXPECT_EQ(run_cli("--algo matmul --mu -3 --space \"1 1 -1\"").exit_code, 2);
   EXPECT_EQ(
+      run_cli("--algo matmul --mu 4 --mu2 0 --space \"1 1 -1\"").exit_code,
+      2);
+  EXPECT_EQ(
+      run_cli("--algo matmul --mu 4 --mu2 -3 --space \"1 1 -1\"").exit_code,
+      2);
+  EXPECT_EQ(
       run_cli("--algo bit_matmul --bits 0 --space \"1 1 -1\"").exit_code, 2);
   EXPECT_EQ(run_cli("--algo matmul --explore --max-entry 0").exit_code, 2);
   const CliResult r = run_cli("--algo matmul --mu nope --space \"1 1 -1\"");
@@ -136,6 +142,20 @@ TEST(CliTest, ExploreModeRejectsFixedSpaceOptions) {
         run_cli(std::string("--algo matmul --mu 2 --explore ") + extra);
     EXPECT_EQ(r.exit_code, 2) << extra << "\n" << r.output;
     EXPECT_NE(r.output.find("has no effect in --explore mode"),
+              std::string::npos)
+        << extra << "\n" << r.output;
+  }
+}
+
+TEST(CliTest, MaxEntryOutsideExploreIsRejected) {
+  // --max-entry bounds the --explore sweep only; the fixed-space modes
+  // used to ignore it silently.
+  for (const char* extra : {"", " --pi \"1 4 1\""}) {
+    const CliResult r = run_cli(
+        std::string("--algo matmul --mu 4 --max-entry 7 --space \"1 1 -1\"") +
+        extra);
+    EXPECT_EQ(r.exit_code, 2) << extra << "\n" << r.output;
+    EXPECT_NE(r.output.find("has no effect without --explore"),
               std::string::npos)
         << extra << "\n" << r.output;
   }

@@ -134,44 +134,38 @@ void expect_matrices_equal(const linalg::Matrix<T>& a,
 
 TEST(HnfWarmStart, ExtendRowMatchesFromScratchOnRandomStacks) {
   Lcg rng;
-  for (lattice::HnfStrategy strategy :
-       {lattice::HnfStrategy::kExtendedGcd,
-        lattice::HnfStrategy::kEuclidean}) {
-    lattice::HnfOptions options;
-    options.strategy = strategy;
-    int tested = 0;
-    while (tested < 40) {
-      const std::size_t n = static_cast<std::size_t>(rng.next(2, 5));
-      const std::size_t rows = static_cast<std::size_t>(
-          rng.next(0, static_cast<Int>(n) - 1));
-      linalg::Matrix<BigInt> s(rows, n);
-      for (std::size_t i = 0; i < rows; ++i) {
-        for (std::size_t j = 0; j < n; ++j) s(i, j) = BigInt(rng.next(-9, 9));
-      }
-      linalg::Vector<BigInt> last(n);
-      for (std::size_t j = 0; j < n; ++j) last[j] = BigInt(rng.next(-9, 9));
-
-      linalg::Matrix<BigInt> stacked(rows + 1, n);
-      for (std::size_t i = 0; i < rows; ++i) {
-        for (std::size_t j = 0; j < n; ++j) stacked(i, j) = s(i, j);
-      }
-      for (std::size_t j = 0; j < n; ++j) stacked(rows, j) = last[j];
-
-      lattice::detail::HnfPrefix<BigInt> prefix;
-      lattice::BasicHnfResult<BigInt> scratch;
-      try {
-        prefix = lattice::detail::hermite_prefix_t(s, options);
-        scratch = lattice::detail::hermite_normal_form_t(stacked, options);
-      } catch (const std::domain_error&) {
-        continue;  // rank-deficient draw; both paths refuse identically
-      }
-      lattice::BasicHnfResult<BigInt> warm =
-          lattice::detail::hermite_extend_row_t(prefix, last);
-      expect_matrices_equal(warm.h, scratch.h, "h");
-      expect_matrices_equal(warm.u, scratch.u, "u");
-      expect_matrices_equal(warm.v, scratch.v, "v");
-      ++tested;
+  int tested = 0;
+  while (tested < 40) {
+    const std::size_t n = static_cast<std::size_t>(rng.next(2, 5));
+    const std::size_t rows =
+        static_cast<std::size_t>(rng.next(0, static_cast<Int>(n) - 1));
+    linalg::Matrix<BigInt> s(rows, n);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < n; ++j) s(i, j) = BigInt(rng.next(-9, 9));
     }
+    linalg::Vector<BigInt> last(n);
+    for (std::size_t j = 0; j < n; ++j) last[j] = BigInt(rng.next(-9, 9));
+
+    linalg::Matrix<BigInt> stacked(rows + 1, n);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < n; ++j) stacked(i, j) = s(i, j);
+    }
+    for (std::size_t j = 0; j < n; ++j) stacked(rows, j) = last[j];
+
+    lattice::detail::HnfPrefix<BigInt> prefix;
+    lattice::BasicHnfResult<BigInt> scratch;
+    try {
+      prefix = lattice::detail::hermite_prefix_t(s);
+      scratch = lattice::detail::hermite_normal_form_t(stacked);
+    } catch (const std::domain_error&) {
+      continue;  // rank-deficient draw; both paths refuse identically
+    }
+    lattice::BasicHnfResult<BigInt> warm =
+        lattice::detail::hermite_extend_row_t(prefix, last);
+    expect_matrices_equal(warm.h, scratch.h, "h");
+    expect_matrices_equal(warm.u, scratch.u, "u");
+    expect_matrices_equal(warm.v, scratch.v, "v");
+    ++tested;
   }
 }
 

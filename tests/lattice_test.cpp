@@ -76,30 +76,6 @@ TEST(Hnf, SingleRow) {
   EXPECT_EQ(r.h(0, 0).to_int64(), 2);  // gcd(4, 6, 10)
 }
 
-TEST(Hnf, EuclideanStrategyAgreesOnH) {
-  MatI t{{1, 7, 1, 1}, {1, 7, 1, 0}};
-  HnfOptions euclid;
-  euclid.strategy = HnfStrategy::kEuclidean;
-  HnfResult a = hermite_normal_form(t);
-  HnfResult b = hermite_normal_form(t, euclid);
-  expect_hnf_invariants(t, b);
-  // U differs in general; the kernel lattices must coincide.
-  MatZ ka = a.u.block(0, 4, 2, 4);
-  MatZ kb = b.u.block(0, 4, 2, 4);
-  for (std::size_t c = 0; c < kb.cols(); ++c) {
-    EXPECT_TRUE(lattice_contains(ka, kb.column_vector(c)));
-    EXPECT_TRUE(lattice_contains(kb, ka.column_vector(c)));
-  }
-}
-
-TEST(Hnf, NoReductionStillValid) {
-  MatI t{{3, 8, 5}, {2, 9, 7}};
-  HnfOptions opt;
-  opt.reduce_off_diagonal = false;
-  HnfResult r = hermite_normal_form(t, opt);
-  expect_hnf_invariants(t, r);
-}
-
 class HnfRandomProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(HnfRandomProperty, InvariantsHold) {

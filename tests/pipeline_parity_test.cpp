@@ -3,7 +3,7 @@
 // per solution field, per candidate space, warm or cold caches -- and the
 // fused sweeps built on it (explore_design_space, the joint single-winner
 // query) must reproduce their seed oracles field for field across every
-// thread count and cache flag.  Runs under TSan in CI (the parallel joint
+// thread count and verdict-cache setting.  Runs under TSan in CI (the parallel joint
 // cases exercise the shared fusion state, the schedule-orbit map and the
 // cross-space incumbent cap concurrently).
 #include <gtest/gtest.h>
@@ -65,8 +65,7 @@ void expect_same_solution(const MappingSolution& cold,
 // cache are warm and every hit must still reproduce the cold result bit
 // for bit.
 void run_score_parity(const model::UniformDependenceAlgorithm& algo,
-                      Int max_entry, std::size_t dims,
-                      bool use_schedule_cache) {
+                      Int max_entry, std::size_t dims) {
   SpaceSearchOptions pool_options;
   pool_options.max_entry = max_entry;
   pool_options.array_dims = dims;
@@ -78,9 +77,7 @@ void run_score_parity(const model::UniformDependenceAlgorithm& algo,
   options.design_array = false;
   const MappingPipeline cold(options);
   MappingPipeline fused(options);
-  MappingPipeline::FusionOptions fusion;
-  fusion.use_schedule_orbit_cache = use_schedule_cache;
-  fused.enable_fusion(fusion);
+  fused.enable_fusion({});
 
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t i = 0; i < spaces.size(); ++i) {
@@ -100,36 +97,32 @@ void run_score_parity(const model::UniformDependenceAlgorithm& algo,
       }
       const std::string label =
           std::string(algo.name()) + "/space" + std::to_string(i) +
-          "/pass" + std::to_string(pass) +
-          (use_schedule_cache ? "/orbit" : "/no-orbit");
+          "/pass" + std::to_string(pass);
       EXPECT_EQ(cold_threw, fused_threw) << label;
       if (cold_threw || fused_threw) continue;
       expect_same_solution(cold_solution, fused_solution, label);
     }
   }
-  if (use_schedule_cache) {
-    // The second pass re-visits every space; with the orbit cache on, at
-    // least the exact-repeat keys must have hit.
-    const MappingPipeline::FusionStats stats = fused.fusion_stats();
-    EXPECT_GT(stats.schedule_orbit_hits, 0u) << algo.name();
-  }
+  // The second pass re-visits every space, so at least the exact-repeat
+  // schedule-orbit keys must have hit.
+  const MappingPipeline::FusionStats stats = fused.fusion_stats();
+  EXPECT_GT(stats.schedule_orbit_hits, 0u) << algo.name();
 }
 
 TEST(PipelineParity, ScoreMatchesColdMatmulIlpRoute) {
   // dims = n-2: every space takes the ILP + certification route.
-  run_score_parity(model::matmul(4), 1, 1, true);
+  run_score_parity(model::matmul(4), 1, 1);
 }
 
 TEST(PipelineParity, ScoreMatchesColdMatmulProcedureRoute) {
   // dims = n-1: square T, pure Procedure 5.1 route, orbit cache live.
-  run_score_parity(model::matmul(3), 1, 2, true);
-  run_score_parity(model::matmul(3), 1, 2, false);
+  run_score_parity(model::matmul(3), 1, 2);
 }
 
 TEST(PipelineParity, ScoreMatchesColdUnitCube) {
   // n = 4, dims = 1: k + 1 < n keeps ILP out; the equal-mu cube has the
   // richest schedule-orbit structure (full symmetric column group).
-  run_score_parity(model::unit_cube_algorithm(4, 2), 1, 1, true);
+  run_score_parity(model::unit_cube_algorithm(4, 2), 1, 1);
 }
 
 TEST(PipelineParity, MapperFacadeDelegatesToPipeline) {
@@ -189,20 +182,16 @@ void run_explore_parity(const model::UniformDependenceAlgorithm& algo,
   base.max_entry = max_entry;
   base.array_dims = dims;
   const DesignSpaceResult seed = explore_design_space_seed(algo, base);
-  for (bool schedule_cache : {false, true}) {
-    for (bool with_cache : {false, true}) {
-      for (std::size_t threads : parity_thread_counts()) {
-        VerdictCache cache;
-        SpaceSearchOptions options = base;
-        options.use_schedule_cache = schedule_cache;
-        if (with_cache) options.verdict_cache = &cache;
-        options.num_threads = threads;
-        expect_same_design(
-            seed, explore_design_space(algo, options),
-            std::string(algo.name()) + "/t" + std::to_string(threads) +
-                (schedule_cache ? "/orbit" : "/no-orbit") +
-                (with_cache ? "/cache" : "/nocache"));
-      }
+  for (bool with_cache : {false, true}) {
+    for (std::size_t threads : parity_thread_counts()) {
+      VerdictCache cache;
+      SpaceSearchOptions options = base;
+      if (with_cache) options.verdict_cache = &cache;
+      options.num_threads = threads;
+      expect_same_design(seed, explore_design_space(algo, options),
+                         std::string(algo.name()) + "/t" +
+                             std::to_string(threads) +
+                             (with_cache ? "/cache" : "/nocache"));
     }
   }
 }
@@ -237,21 +226,16 @@ void run_joint_parity(const model::UniformDependenceAlgorithm& algo,
   base.max_entry = max_entry;
   base.array_dims = dims;
   const JointMappingResult seed = joint_time_optimal_mapping_seed(algo, base);
-  for (bool bnb : {false, true}) {
-    for (bool schedule_cache : {false, true}) {
-      for (std::size_t threads : parity_thread_counts()) {
-        VerdictCache cache;
-        SpaceSearchOptions options = base;
-        options.use_branch_and_bound = bnb;
-        options.use_schedule_cache = schedule_cache;
-        options.verdict_cache = &cache;
-        options.num_threads = threads;
-        expect_same_joint(
-            seed, joint_time_optimal_mapping(algo, options),
-            std::string(algo.name()) + "/t" + std::to_string(threads) +
-                (bnb ? "/bnb" : "/no-bnb") +
-                (schedule_cache ? "/orbit" : "/no-orbit"));
-      }
+  for (bool with_cache : {false, true}) {
+    for (std::size_t threads : parity_thread_counts()) {
+      VerdictCache cache;
+      SpaceSearchOptions options = base;
+      if (with_cache) options.verdict_cache = &cache;
+      options.num_threads = threads;
+      expect_same_joint(seed, joint_time_optimal_mapping(algo, options),
+                        std::string(algo.name()) + "/t" +
+                            std::to_string(threads) +
+                            (with_cache ? "/cache" : "/nocache"));
     }
   }
 }

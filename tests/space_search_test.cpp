@@ -1,7 +1,7 @@
 // Parity and correctness suite for the fast Problem 6.1/6.2 engine
 // (search/space_optimal.cpp): the fast sweep must be BIT-IDENTICAL to the
 // preserved seed engine in (found, space, cost, verdict,
-// candidates_tested) for every mode flag combination and thread count,
+// candidates_tested) for every thread count and verdict-cache setting,
 // the incremental packed-image counter must agree with the std::set
 // reference on random space/box pairs, the candidate enumerator must stay
 // lazy, and the enumeration-budget check must behave exactly at the
@@ -50,9 +50,9 @@ void expect_same_result(const SpaceSearchResult& seed,
   }
 }
 
-// Runs the seed engine once and the fast engine across every mode flag
-// combination and thread count, asserting bit-identical results, with and
-// without a shared verdict cache.
+// Runs the seed engine once and the fast engine across every thread
+// count, asserting bit-identical results, with and without a shared
+// verdict cache.
 void run_parity_case(const model::UniformDependenceAlgorithm& algo,
                      const VecI& pi, Int max_entry, std::size_t dims) {
   SpaceSearchOptions base;
@@ -66,34 +66,16 @@ void run_parity_case(const model::UniformDependenceAlgorithm& algo,
     const SpaceSearchResult seed =
         space_optimal_mapping_seed(algo, pi, seed_options);
 
-    struct Mode {
-      const char* name;
-      bool incremental;
-      bool orbit;
-      bool bnb;
-    };
-    const Mode modes[] = {
-        {"reference", false, false, false},
-        {"incremental", true, false, false},
-        {"incr_orbit_bnb", true, true, true},
-    };
-    for (const Mode& mode : modes) {
-      for (std::size_t threads : parity_thread_counts()) {
-        VerdictCache fast_cache;
-        SpaceSearchOptions options = base;
-        if (with_cache) options.verdict_cache = &fast_cache;
-        options.use_incremental_count = mode.incremental;
-        options.use_orbit_cache = mode.orbit;
-        options.use_branch_and_bound = mode.bnb;
-        options.num_threads = threads;
-        const SpaceSearchResult fast =
-            space_optimal_mapping(algo, pi, options);
-        expect_same_result(
-            seed, fast,
-            std::string(algo.name()) + "/" + mode.name + "/t" +
-                std::to_string(threads) +
-                (with_cache ? "/cache" : "/nocache"));
-      }
+    for (std::size_t threads : parity_thread_counts()) {
+      VerdictCache fast_cache;
+      SpaceSearchOptions options = base;
+      if (with_cache) options.verdict_cache = &fast_cache;
+      options.num_threads = threads;
+      const SpaceSearchResult fast = space_optimal_mapping(algo, pi, options);
+      expect_same_result(seed, fast,
+                         std::string(algo.name()) + "/t" +
+                             std::to_string(threads) +
+                             (with_cache ? "/cache" : "/nocache"));
     }
   }
 }

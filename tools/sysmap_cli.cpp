@@ -142,6 +142,10 @@ int run(const char* argv0, std::map<std::string, std::string>& args,
     return bad_args(argv0, "option '--mu' must be positive, got " +
                                std::to_string(mu));
   }
+  if (args.count("--mu2") && mu2 <= 0) {
+    return bad_args(argv0, "option '--mu2' must be positive, got " +
+                               std::to_string(mu2));
+  }
   if (args.count("--bits") && bits <= 0) {
     return bad_args(argv0, "option '--bits' must be positive, got " +
                                std::to_string(bits));
@@ -149,6 +153,11 @@ int run(const char* argv0, std::map<std::string, std::string>& args,
   if (args.count("--max-entry") && max_entry <= 0) {
     return bad_args(argv0, "option '--max-entry' must be positive, got " +
                                std::to_string(max_entry));
+  }
+  if (args.count("--max-entry") && !flags["--explore"]) {
+    return bad_args(argv0,
+                    "option '--max-entry' has no effect without --explore; "
+                    "remove it or add --explore");
   }
 
   try {

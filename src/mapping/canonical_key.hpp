@@ -226,13 +226,69 @@ inline std::optional<ConflictKey> canonical_gamma_key(
   return key;
 }
 
-/// Canonical key for a k <= n-2 kernel basis block (columns u_{k+1..n} of
-/// the HNF transform).  Each column is made primitive with its first
+/// Canonical key for a k <= n-2 kernel basis block held as int64 columns:
+/// `cols` stores `count` columns of n = set.dimension() entries each,
+/// column after column.  Each column is made primitive with its first
 /// nonzero entry positive, then columns are sorted lexicographically --
 /// both moves preserve the lattice tests the paper-theorem ladder runs
 /// (divisibility, sign-pattern classes, extent comparisons), which is the
-/// cache's parity argument.  Returns nullopt when any canonical entry
-/// does not fit int64.
+/// cache's parity argument.  Rewrites `cols` with the canonical columns
+/// and fills `key` in place, reusing its payload buffer, so a sweep can
+/// key every candidate without allocating.  Throws exact::OverflowError
+/// when a column holds INT64_MIN.
+inline void canonical_kernel_key_into(std::vector<Int>& cols,
+                                      std::size_t count,
+                                      const model::IndexSet& set,
+                                      std::size_t k, std::int32_t oracle_tag,
+                                      ConflictKey& key) {
+  const std::size_t n = set.dimension();
+  auto column = [&cols, n](std::size_t c) {
+    return cols.begin() + static_cast<std::ptrdiff_t>(c * n);
+  };
+  for (std::size_t c = 0; c < count; ++c) {
+    const auto col = column(c);
+    Int g = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      g = exact::gcd_i64(g, exact::abs_checked(col[i]));
+    }
+    bool flip = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (col[i] != 0) {
+        flip = col[i] < 0;
+        break;
+      }
+    }
+    if (g > 1 || flip) {
+      const Int by = flip ? exact::neg_checked(g) : g;
+      for (std::size_t i = 0; i < n; ++i) {
+        col[i] = exact::div_checked(col[i], by);
+      }
+    }
+  }
+  // Insertion sort of whole columns: count is n - k + 1 at most.
+  for (std::size_t c = 1; c < count; ++c) {
+    for (std::size_t d = c; d > 0; --d) {
+      if (!std::lexicographical_compare(column(d), column(d + 1),
+                                        column(d - 1), column(d))) {
+        break;
+      }
+      std::swap_ranges(column(d - 1), column(d), column(d));
+    }
+  }
+  key.kind = ConflictKey::Kind::kKernelBasis;
+  key.oracle_tag = oracle_tag;
+  key.n = static_cast<std::uint32_t>(n);
+  key.k = static_cast<std::uint32_t>(k);
+  key.payload.resize(n + count * n);
+  for (std::size_t i = 0; i < n; ++i) key.payload[i] = set.mu(i);
+  std::copy(column(0), column(count),
+            key.payload.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+/// Canonical key for a k <= n-2 kernel basis block (columns u_{k+1..n} of
+/// the HNF transform, starting at `first_col`), as canonical_kernel_key_into
+/// builds it.  Returns nullopt when any canonical entry does not fit int64
+/// or is INT64_MIN.
 template <typename T>
 std::optional<ConflictKey> canonical_kernel_key(const linalg::Matrix<T>& u,
                                                 std::size_t first_col,
@@ -240,31 +296,23 @@ std::optional<ConflictKey> canonical_kernel_key(const linalg::Matrix<T>& u,
                                                 std::size_t k,
                                                 std::int32_t oracle_tag) {
   const std::size_t n = u.rows();
-  const std::size_t cols = u.cols() - first_col;
-  std::vector<VecI> columns;
-  columns.reserve(cols);
+  const std::size_t count = u.cols() - first_col;
+  std::vector<Int> cols;
+  cols.reserve(count * n);
   for (std::size_t c = first_col; c < u.cols(); ++c) {
     linalg::Vector<T> col(n);
     for (std::size_t i = 0; i < n; ++i) col[i] = u(i, c);
     col = lattice::make_primitive_t(std::move(col));
-    VecI narrow(n);
     for (std::size_t i = 0; i < n; ++i) {
-      if (!col[i].fits_int64()) return std::nullopt;
-      narrow[i] = col[i].to_int64();
+      // INT64_MIN has no int64 magnitude: such a key is skipped as well.
+      if (!col[i].fits_int64() || col[i].to_int64() == INT64_MIN) {
+        return std::nullopt;
+      }
+      cols.push_back(col[i].to_int64());
     }
-    columns.push_back(std::move(narrow));
   }
-  std::sort(columns.begin(), columns.end());
   ConflictKey key;
-  key.kind = ConflictKey::Kind::kKernelBasis;
-  key.oracle_tag = oracle_tag;
-  key.n = static_cast<std::uint32_t>(n);
-  key.k = static_cast<std::uint32_t>(k);
-  key.payload.reserve(set.dimension() + cols * n);
-  detail::append_extents(set, key.payload);
-  for (const VecI& col : columns) {
-    key.payload.insert(key.payload.end(), col.begin(), col.end());
-  }
+  canonical_kernel_key_into(cols, count, set, k, oracle_tag, key);
   return key;
 }
 

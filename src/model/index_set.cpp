@@ -32,7 +32,8 @@ bool IndexSet::contains(const VecI& j) const {
 
 exact::BigInt IndexSet::size() const {
   exact::BigInt out(1);
-  for (Int b : mu_) out *= exact::BigInt(b + 1);
+  // b + 1 in BigInt: mu_i = INT64_MAX is a legal bound.
+  for (Int b : mu_) out *= exact::BigInt(b) + exact::BigInt(1);
   return out;
 }
 

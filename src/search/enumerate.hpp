@@ -2,25 +2,36 @@
 // sum |pi_i| mu_i == f, in deterministic lexicographic order (coordinate 0
 // outermost; magnitude 0 first, then +a before -a).
 //
-// The visitor is a template parameter so the per-candidate dispatch
-// inlines into the search's hot loop; the std::function overload in
-// procedure51.hpp (enumerate_schedules_at) delegates here and visits the
-// exact same sequence.  The search and the public overload must agree
-// candidate-for-candidate -- the bit-identical statistics
-// (candidates_tested / candidates_passed_dependence) of the context and
-// seed paths depend on it.
+// for_each_schedule_at is the plain walk: every candidate of the level, in
+// that order.  The std::function overload in procedure51.hpp
+// (enumerate_schedules_at) delegates to it, and it is the unpruned
+// reference the tests and the benchmark's replay re-walk.
+//
+// DependenceSweep is the walk Procedure 5.1 runs.  It visits the same
+// order but skips every subtree whose leaves all fail Pi D > 0, adding the
+// subtree's exact leaf count (LevelCounts) to candidates_tested instead of
+// walking it.  No skipped leaf could pass the dependence test, so the
+// visited candidates, the first hit and both statistics
+// (candidates_tested / candidates_passed_dependence) are those of the
+// plain walk followed by respects_dependences.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "exact/checked.hpp"
 #include "linalg/types.hpp"
 #include "model/index_set.hpp"
+#include "schedule/linear_schedule.hpp"
 
 namespace sysmap::search {
 
 namespace detail {
 
+// SYSMAP_RAW_FASTPATH(bounded: a * mu <= remaining and every negated
+// magnitude is a nonnegative quotient remaining / mu)
 template <typename Visit>
 bool enumerate_rec(const model::IndexSet& set, Int remaining, std::size_t i,
                    VecI& pi, Visit& visit) {
@@ -108,5 +119,264 @@ bool for_each_schedule_at(const model::IndexSet& set, Int f, Visit&& visit) {
   VecI pi(set.dimension(), 0);
   return detail::enumerate_rec(set, f, 0, pi, visit);
 }
+
+/// Levels past this are never tabulated: the tables would grow too large.
+/// The sweep then walks every candidate, and the schedule-orbit cache of
+/// search::MappingPipeline stands down.
+constexpr std::size_t kMaxCountedLevel = std::size_t{1} << 20;
+
+/// Exact candidate counts of the enumeration, per coordinate suffix:
+///   N_i(r) = #{(pi_i, ..., pi_{n-1}) : sum_{j >= i} |pi_j| mu_j = r},
+/// the coefficients of prod_{j >= i} (1 + x^{mu_j}) / (1 - x^{mu_j}).  Row
+/// 0 is the number of candidates for_each_schedule_at visits at level r.
+/// The table grows one level at a time, O(n) per level, through
+///   N_i(r) = N_{i+1}(r) + N_{i+1}(r - mu_i) + N_i(r - mu_i),
+/// and is never filled by enumeration.  Once a count overflows uint64 the
+/// table stops growing and every later extend_to() returns false.
+class LevelCounts {
+ public:
+  explicit LevelCounts(const model::IndexSet& set) : n_(set.dimension()) {
+    mu_.reserve(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      mu_.push_back(static_cast<std::size_t>(set.mu(i)));  // mu_i >= 1
+    }
+  }
+
+  /// Tabulates every level through f.  False when f is negative or beyond
+  /// kMaxCountedLevel, or when a count through f overflowed uint64.
+  bool extend_to(Int f) {
+    if (f < 0 || static_cast<std::uint64_t>(f) > kMaxCountedLevel) {
+      return false;
+    }
+    const std::size_t last = static_cast<std::size_t>(f);
+    if (ok_ && levels_ <= last && cumulative_.capacity() <= last) {
+      // One allocation per doubling, not one per level appended.
+      const std::size_t cap = std::max(last + 1, 2 * cumulative_.capacity());
+      table_.reserve(cap * n_);
+      cumulative_.reserve(cap);
+    }
+    while (ok_ && levels_ <= last) append_level();
+    return ok_ || last < levels_;
+  }
+
+  /// N_i(r) for i <= n (row n is the empty suffix: 1 at r = 0).  Requires
+  /// r tabulated by a successful extend_to().
+  std::uint64_t suffix(std::size_t i, std::size_t r) const {
+    if (i == n_) return r == 0 ? 1 : 0;
+    return table_[r * n_ + i];
+  }
+
+  /// Candidates the plain walk visits over levels 1..f (0 for f = 0).
+  /// Requires f tabulated by a successful extend_to().
+  std::uint64_t through(std::size_t f) const { return cumulative_[f]; }
+
+ private:
+  void append_level() {
+    const std::size_t r = levels_;
+    table_.resize(table_.size() + n_);
+    for (std::size_t i = n_; i-- > 0;) {
+      std::uint64_t v = suffix(i + 1, r);
+      const std::size_t mu = mu_[i];
+      if (r >= mu) {
+        if (__builtin_add_overflow(v, suffix(i + 1, r - mu), &v) ||
+            __builtin_add_overflow(v, suffix(i, r - mu), &v)) {
+          ok_ = false;
+        }
+      }
+      table_[r * n_ + i] = v;
+    }
+    std::uint64_t cum = 0;
+    if (r > 0 && __builtin_add_overflow(cumulative_[r - 1], suffix(0, r),
+                                        &cum)) {
+      ok_ = false;
+    }
+    cumulative_.push_back(cum);
+    if (!ok_) {  // keep only the levels whose counts are exact
+      table_.resize(r * n_);
+      cumulative_.pop_back();
+      return;
+    }
+    ++levels_;
+  }
+
+  std::size_t n_;
+  std::vector<std::size_t> mu_;
+  std::vector<std::uint64_t> table_;  ///< level-major: table_[r * n + i]
+  std::vector<std::uint64_t> cumulative_;
+  std::size_t levels_ = 0;
+  bool ok_ = true;
+};
+
+/// Procedure 5.1's walk of one objective level: visits, in the order of
+/// for_each_schedule_at, every Pi with sum |pi_i| mu_i = f and Pi D > 0,
+/// and counts every candidate of the level it passes (visited, rejected
+/// or skipped) into `tested`.
+///
+/// A node fixes pi_0..pi_{i-1}, with partial column sums s_c =
+/// sum_{j < i} pi_j d_jc, and leaves weight r to the remaining
+/// coordinates.  Over the reals, those coordinates add at most
+/// r * max_{j >= i} |d_jc| / mu_j to column c (the objective is a weighted
+/// l1 ball, so a vertex attains the maximum).  When that cannot lift some
+/// s_c above 0, no leaf below passes Pi D > 0: the subtree is skipped and
+/// its N_i(r) leaves are counted as tested.
+///
+/// A level is walked with pruning only when its counts are exact and a
+/// bound on every partial sum and pruning product fits int64; otherwise
+/// the plain walk and respects_dependences run, overflow exceptions
+/// included, exactly as before pruning existed.
+class DependenceSweep {
+ public:
+  DependenceSweep(const model::IndexSet& set, const MatI& dependence)
+      : set_(set),
+        d_(dependence),
+        counts_(set),
+        n_(set.dimension()),
+        m_(dependence.cols()),
+        pi_(n_, 0),
+        sums_((n_ + 1) * m_, 0),
+        num_((n_ + 1) * m_, 0),
+        den_((n_ + 1) * m_, 1) {
+    // num/den of row i = the largest |d_jc| / mu_j over j >= i; row n is
+    // the empty suffix (0 / 1), which turns the pruning test into the leaf
+    // test s_c <= 0.
+    try {
+      for (std::size_t i = n_; i-- > 0;) {
+        for (std::size_t c = 0; c < m_; ++c) {
+          const Int p = exact::abs_checked(d_(i, c));
+          const Int q = set.mu(i);
+          const std::size_t at = i * m_ + c;
+          const std::size_t below = at + m_;
+          if (exact::mul_checked(p, den_[below]) >
+              exact::mul_checked(num_[below], q)) {
+            num_[at] = p;
+            den_[at] = q;
+          } else {
+            num_[at] = num_[below];
+            den_[at] = den_[below];
+          }
+        }
+      }
+    } catch (const exact::OverflowError&) {
+      usable_ = false;
+    }
+  }
+
+  /// Walks level f; returns false when `visit` aborted the walk.
+  template <typename Visit>
+  bool walk(Int f, std::uint64_t& tested, Visit&& visit) {
+    if (!prunable(f)) {
+      return for_each_schedule_at(set_, f, [&](const VecI& pi) {
+        ++tested;
+        return !schedule::respects_dependences(pi, d_) || visit(pi);
+      });
+    }
+    const std::size_t level = static_cast<std::size_t>(f);
+    if (hopeless(0, f)) {
+      tested += counts_.suffix(0, level);
+      return true;
+    }
+    return descend(0, f, tested, visit);
+  }
+
+ private:
+  /// True when level f may be walked with pruning: its counts are exact
+  /// and no partial sum or pruning product at f can overflow int64.  With
+  /// |pi_j| <= f / mu_j, every partial sum of column c is bounded by
+  /// B_c = sum_j (f / mu_j) |d_jc|, so s_c * den + r * num is bounded by
+  /// B_c * max den + f * max num.
+  bool prunable(Int f) {
+    if (!usable_ || !counts_.extend_to(f)) return false;
+    try {
+      for (std::size_t c = 0; c < m_; ++c) {
+        Int bound = 0;
+        Int num_max = 0;
+        Int den_max = 1;
+        for (std::size_t j = 0; j < n_; ++j) {
+          bound = exact::add_checked(
+              bound, exact::mul_checked(f / set_.mu(j),
+                                        exact::abs_checked(d_(j, c))));
+          num_max = std::max(num_max, num_[j * m_ + c]);
+          den_max = std::max(den_max, den_[j * m_ + c]);
+        }
+        (void)exact::add_checked(exact::mul_checked(bound, den_max),
+                                 exact::mul_checked(f, num_max));
+      }
+    } catch (const exact::OverflowError&) {
+      return false;
+    }
+    return true;
+  }
+
+  /// Some column stays <= 0 at every leaf below the node (i, r) whose
+  /// partial sums are row i of sums_.
+  // SYSMAP_RAW_FASTPATH(bounded: prunable(f) bounds every partial sum and
+  // pruning product at this level inside int64)
+  bool hopeless(std::size_t i, Int r) const {
+    const std::size_t row = i * m_;
+    for (std::size_t c = 0; c < m_; ++c) {
+      if (sums_[row + c] * den_[row + c] + r * num_[row + c] <= 0) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Sets pi_i = v and row i + 1 of sums_ to row i plus v * d_i.
+  // SYSMAP_RAW_FASTPATH(bounded: prunable(f) bounds |v * d_ic| and every
+  // partial sum at this level inside int64)
+  void fix(std::size_t i, Int v) {
+    pi_[i] = v;
+    const std::size_t row = i * m_;
+    for (std::size_t c = 0; c < m_; ++c) {
+      sums_[row + m_ + c] = sums_[row + c] + v * d_(i, c);
+    }
+  }
+
+  // SYSMAP_RAW_FASTPATH(bounded: a * mu <= r and every negated magnitude
+  // is a nonnegative quotient r / mu)
+  template <typename Visit>
+  bool descend(std::size_t i, Int r, std::uint64_t& tested, Visit& visit) {
+    const Int mu = set_.mu(i);
+    if (i + 1 == n_) {
+      // Last coordinate: only |pi_i| = r / mu lands on the level.
+      if (r % mu != 0) return true;
+      const Int a = r / mu;
+      for (int sign = 0; sign < (a == 0 ? 1 : 2); ++sign) {
+        fix(i, sign == 0 ? a : -a);
+        ++tested;
+        // Row n is the empty suffix: hopeless(n, 0) is exactly Pi D <= 0
+        // in some column, i.e. respects_dependences failing.
+        if (!hopeless(n_, 0) && !visit(static_cast<const VecI&>(pi_))) {
+          return false;
+        }
+      }
+      return true;
+    }
+    const Int max_abs = r / mu;
+    for (Int a = 0; a <= max_abs; ++a) {
+      const Int rest = r - a * mu;
+      for (int sign = 0; sign < (a == 0 ? 1 : 2); ++sign) {
+        fix(i, sign == 0 ? a : -a);
+        if (hopeless(i + 1, rest)) {
+          tested += counts_.suffix(i + 1, static_cast<std::size_t>(rest));
+          continue;
+        }
+        if (!descend(i + 1, rest, tested, visit)) return false;
+      }
+    }
+    return true;
+  }
+
+  const model::IndexSet& set_;
+  const MatI& d_;
+  LevelCounts counts_;
+  std::size_t n_;
+  std::size_t m_;
+  bool usable_ = true;  ///< false when a ratio overflows int64
+  VecI pi_;
+  std::vector<Int> sums_;  ///< row i: column sums of pi_0..pi_{i-1}
+  std::vector<Int> num_;   ///< row i: largest |d_jc| / mu_j over j >= i
+  std::vector<Int> den_;
+};
 
 }  // namespace sysmap::search

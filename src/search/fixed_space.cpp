@@ -13,6 +13,7 @@
 #include "exact/bigint.hpp"
 #include "exact/checked_int.hpp"
 #include "exact/fastpath.hpp"
+#include "lattice/gauss.hpp"
 #include "lattice/hnf_impl.hpp"
 #include "lattice/kernel.hpp"
 #include "linalg/ops.hpp"
@@ -305,41 +306,13 @@ ConflictVerdict hnf_tail_verdict(ConflictOracle oracle,
   return mapping::detail::decide_conflict_free_hnf_ladder_t(hnf, k, set);
 }
 
-/// Cached k <= n-2 accept over the warm-started HNF: the canonical kernel
-/// key is built from the u_{k+1..n} block BEFORE running the (expensive)
-/// verdict tail, so hits skip the theorem ladder / LLL / enumeration
-/// entirely.  Insertion follows the admission policy of verdict_cache.hpp;
-/// keys the int64 payload cannot represent simply bypass the cache.
-template <typename T>
-std::optional<ConflictVerdict> hnf_cached_accept(
-    ConflictOracle oracle, const lattice::BasicHnfResult<T>& hnf,
-    std::size_t k, std::size_t n, const model::IndexSet& set,
-    VerdictCache& cache) {
-  std::optional<mapping::ConflictKey> key = mapping::canonical_kernel_key(
-      hnf.u, k, set, k,
-      static_cast<std::int32_t>(oracle));  // SYSMAP_NARROWING_OK: tag 0..2.
-  if (key) {
-    if (std::optional<VerdictCache::Outcome> hit = cache.lookup(*key)) {
-      if (!hit->conflict_free) return std::nullopt;
-      return mapping::detail::verdict(ConflictVerdict::Status::kConflictFree,
-                                      hit->rule);
-    }
-  }
-  ConflictVerdict v = hnf_tail_verdict(oracle, hnf, k, n, set);
-  const bool cf = v.status == ConflictVerdict::Status::kConflictFree;
-  if (key) {
-    const bool admit =
-        oracle == ConflictOracle::kPaperTheorems
-            ? true
-            : (v.status == ConflictVerdict::Status::kHasConflict ||
-               (cf && exact_accept_rule_cacheable(v.rule)));
-    if (admit) {
-      cache.insert(*key, cf, cf ? std::string_view(v.rule) : std::string_view{});
-    }
-  }
-  if (!cf) return std::nullopt;
-  return v;
-}
+/// Per-thread buffers of the k <= n-2 screen, reused across candidates.
+struct KernelScratch {
+  std::vector<Int> work;  ///< (n + 1) x m row-major: [w; U_S[:, k-1:]]
+  std::vector<Int> cols;         ///< kernel columns, one after another
+  mapping::ConflictKey key;
+  VecI witness;
+};
 
 }  // namespace
 
@@ -364,6 +337,9 @@ struct FixedSpaceContext::Impl {
   // Unwrapped copy of checked->cofactor for the stack-buffer raw screen
   // (k = n-1, n <= kRawScreenMaxN only).
   std::optional<MatI> cofactor_raw;
+  // Unwrapped columns k-1.. of checked->prefix->u, the block the k <= n-2
+  // screen maps each candidate through (see kernel_block).
+  std::optional<MatI> kernel_u;
   // BigInt mirror, built on first demand (overflow fallback or a failed
   // checked precompute); call_once keeps the lazy init safe when several
   // threads query one context.
@@ -397,6 +373,63 @@ struct FixedSpaceContext::Impl {
     return d;
   }
 
+  /// The kernel block of [S; pi] from the image of the new row, without
+  /// the HNF state: H_S = S U_S is zero in columns k-1.., so the new row's
+  /// entries there are w = pi U_S[:, k-1:], and the last HNF step
+  /// (lattice::detail::hnf_process_row) eliminates w with column
+  /// operations on those columns alone.  The same xgcd chain E(w) run on
+  /// [w; U_S[:, k-1:]] leaves columns k.. of the extended multiplier,
+  /// U_S[:, k-1:] E(w)[:, 1:], entry for entry.  Returns false when w = 0,
+  /// i.e. rank([S; pi]) < k; otherwise fills s.cols.  Throws
+  /// exact::OverflowError when a word overflows.  Requires kernel_u.
+  bool kernel_block(const VecI& pi, KernelScratch& s) const {
+    const MatI& u = *kernel_u;
+    const std::size_t m = u.cols();
+    s.work.resize((n + 1) * m);
+    bool zero = true;
+    for (std::size_t j = 0; j < m; ++j) {
+      Int acc = 0;
+      for (std::size_t r = 0; r < n; ++r) {
+        acc = exact::add_checked(acc, exact::mul_checked(pi[r], u(r, j)));
+        s.work[(r + 1) * m + j] = u(r, j);
+      }
+      if (acc != 0) zero = false;
+      s.work[j] = acc;
+    }
+    if (zero) return false;
+    // lattice::detail::eliminate_row_xgcd with pivot column 0 of the block.
+    for (std::size_t j = 1; j < m; ++j) {
+      const Int a = s.work[0];
+      const Int b = s.work[j];
+      if (b == 0) continue;
+      if (a == 0) {
+        for (std::size_t r = 0; r <= n; ++r) {
+          std::swap(s.work[r * m], s.work[r * m + j]);
+        }
+        continue;
+      }
+      const lattice::detail::XGcdT<CheckedInt> e =
+          lattice::detail::xgcd(CheckedInt(a), CheckedInt(b));
+      const Int p = exact::neg_checked(exact::div_checked(b, e.g.value()));
+      const Int q = exact::div_checked(a, e.g.value());
+      for (std::size_t r = 0; r <= n; ++r) {
+        const Int c0 = s.work[r * m];
+        const Int cj = s.work[r * m + j];
+        s.work[r * m] = exact::add_checked(exact::mul_checked(c0, e.x.value()),
+                                           exact::mul_checked(cj, e.y.value()));
+        s.work[r * m + j] = exact::add_checked(exact::mul_checked(c0, p),
+                                               exact::mul_checked(cj, q));
+      }
+    }
+    s.cols.resize(n * (m - 1));
+    for (std::size_t c = 1; c < m; ++c) {
+      for (std::size_t r = 0; r < n; ++r) {
+        s.cols[(c - 1) * n + r] = s.work[(r + 1) * m + c];
+      }
+    }
+    return true;
+  }
+
   Impl(const model::IndexSet& set_in, const MatI& space_in)
       : set(set_in),
         space(space_in),
@@ -421,6 +454,16 @@ struct FixedSpaceContext::Impl {
         }
       }
       cofactor_raw = std::move(raw);
+    }
+    if (checked && checked->prefix) {
+      const linalg::Matrix<CheckedInt>& u = checked->prefix->u;
+      MatI block(n, n + 1 - k);
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < block.cols(); ++c) {
+          block(r, c) = u(r, k - 1 + c).value();
+        }
+      }
+      kernel_u = std::move(block);
     }
   }
 };
@@ -605,33 +648,15 @@ std::optional<ConflictVerdict> FixedSpaceContext::accept(
               "Theorem 3.1: unique conflict vector feasible");
         });
   }
-  if (cache != nullptr && oracle != ConflictOracle::kBruteForce &&
-      im.k + 2 <= im.n) {
-    // Memoized k <= n-2: the warm-started HNF still runs per candidate
-    // (it is what the key is extracted from), but a hit skips the whole
-    // verdict tail -- the theorem ladder under kPaperTheorems, LLL plus
-    // lattice enumeration under kExact.
-    const bool have_prefix = im.checked ? im.checked->prefix.has_value()
-                                        : im.big().prefix.has_value();
-    if (have_prefix) {
-      return exact::with_fallback(
-          [&]() -> std::optional<ConflictVerdict> {
-            if (!im.checked || !im.checked->prefix) {
-              throw exact::OverflowError("fixed-space: no checked HNF prefix");
-            }
-            lattice::BasicHnfResult<CheckedInt> hnf =
-                lattice::detail::hermite_extend_row_t(
-                    *im.checked->prefix, lift_vec<CheckedInt>(pi));
-            return hnf_cached_accept(oracle, hnf, im.k, im.n, im.set, *cache);
-          },
-          [&]() -> std::optional<ConflictVerdict> {
-            lattice::BasicHnfResult<BigInt> hnf =
-                lattice::detail::hermite_extend_row_t(*im.big().prefix,
-                                                      lift_vec<BigInt>(pi));
-            return hnf_cached_accept(oracle, hnf, im.k, im.n, im.set, *cache);
-          });
-    }
+  if (std::optional<std::optional<ConflictVerdict>> fast =
+          kernel_screen(oracle, pi, cache)) {
+    return std::move(*fast);
   }
+  return accept_hnf(oracle, pi);
+}
+
+std::optional<ConflictVerdict> FixedSpaceContext::accept_hnf(
+    ConflictOracle oracle, const VecI& pi) const {
   ConflictVerdict v = verdict(oracle, pi);
   if (v.status != ConflictVerdict::Status::kConflictFree) return std::nullopt;
   return v;
@@ -743,8 +768,113 @@ std::optional<ConflictVerdict> FixedSpaceContext::screen(
           }
         });
   }
+  if (std::optional<std::optional<ConflictVerdict>> fast =
+          kernel_screen(oracle, pi, cache)) {
+    return std::move(*fast);
+  }
   if (!has_full_rank(pi)) return std::nullopt;
-  return accept(oracle, pi, cache);
+  return accept_hnf(oracle, pi);
+}
+
+std::optional<std::optional<ConflictVerdict>> FixedSpaceContext::kernel_screen(
+    ConflictOracle oracle, const VecI& pi, VerdictCache* cache) const {
+  const Impl& im = *impl_;
+  if (oracle == ConflictOracle::kBruteForce || !im.kernel_u) {
+    return std::nullopt;
+  }
+  const std::optional<ConflictVerdict> reject;
+  thread_local KernelScratch s;
+  try {
+    if (!im.kernel_block(pi, s)) return reject;  // rank([S; pi]) < k
+    if (cache != nullptr) {
+      mapping::canonical_kernel_key_into(
+          s.cols, im.n - im.k, im.set, im.k,
+          static_cast<std::int32_t>(oracle),  // SYSMAP_NARROWING_OK: tag 0..2.
+          s.key);
+    }
+  } catch (const exact::OverflowError&) {
+    return std::nullopt;  // accept_hnf restarts in BigInt
+  }
+  if (cache != nullptr) {
+    if (std::optional<VerdictCache::Outcome> hit = cache->lookup(s.key)) {
+      if (!hit->conflict_free) return reject;
+      return mapping::detail::verdict(ConflictVerdict::Status::kConflictFree,
+                                      hit->rule);
+    }
+  }
+  // k = n-2 under kExact: a conflict vector found by the box-norm reduction
+  // of the two kernel columns decides the reject outright.  The exact
+  // oracle would say kHasConflict for the same T, and the cache stores a
+  // conflict either way.
+  if (oracle == ConflictOracle::kExact && im.k + 2 == im.n &&
+      lattice::box_short_vector(s.cols.data(), s.cols.data() + im.n, im.set,
+                                s.witness)) {
+#if SYSMAP_CONTRACTS_ACTIVE
+    bool nonzero = false;
+    bool in_box = true;
+    for (std::size_t i = 0; i < im.n; ++i) {
+      nonzero = nonzero || s.witness[i] != 0;
+      in_box = in_box && s.witness[i] <= im.set.mu(i) &&
+               s.witness[i] >= exact::neg_checked(im.set.mu(i));
+    }
+    bool in_kernel = true;
+    for (std::size_t r = 0; r < im.k; ++r) {
+      BigInt dot(0);
+      for (std::size_t i = 0; i < im.n; ++i) {
+        const Int t = r + 1 < im.k ? im.space(r, i) : pi[i];
+        dot += BigInt(t) * BigInt(s.witness[i]);
+      }
+      in_kernel = in_kernel && dot.is_zero();
+    }
+    SYSMAP_CONTRACT(nonzero && in_box && in_kernel,
+                    "box-norm reject witness is not a conflict vector of "
+                    "[S; pi] (nonzero "
+                        << nonzero << ", in box " << in_box << ", in kernel "
+                        << in_kernel << ")");
+#endif
+    if (cache != nullptr) cache->insert(s.key, false, std::string_view{});
+    return reject;
+  }
+  ConflictVerdict v = verdict(oracle, pi);
+  const bool cf = v.status == ConflictVerdict::Status::kConflictFree;
+  // Admission policy of verdict_cache.hpp: every kPaperTheorems outcome;
+  // under kExact the conflicts and the basis-invariant accept rules.
+  if (cache != nullptr &&
+      (oracle == ConflictOracle::kPaperTheorems ||
+       v.status == ConflictVerdict::Status::kHasConflict ||
+       (cf && exact_accept_rule_cacheable(v.rule)))) {
+    cache->insert(s.key, cf,
+                  cf ? std::string_view(v.rule) : std::string_view{});
+  }
+  if (!cf) return reject;
+  return std::optional<ConflictVerdict>(std::move(v));
+}
+
+std::optional<FixedSpaceContext::KernelImage> FixedSpaceContext::kernel_image(
+    const VecI& pi) const {
+  const Impl& im = *impl_;
+  if (!im.kernel_u) return std::nullopt;
+  KernelScratch s;
+  KernelImage out;
+  try {
+    out.full_rank = im.kernel_block(pi, s);
+  } catch (const exact::OverflowError&) {
+    return std::nullopt;
+  }
+  if (!out.full_rank) return out;
+  const std::size_t cols = im.n - im.k;
+  out.kernel = MatI(im.n, cols);
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t r = 0; r < im.n; ++r) {
+      out.kernel(r, c) = s.cols[c * im.n + r];
+    }
+  }
+  if (im.k + 2 == im.n && lattice::box_short_vector(s.cols.data(),
+                                                    s.cols.data() + im.n,
+                                                    im.set, s.witness)) {
+    out.box_witness = s.witness;
+  }
+  return out;
 }
 
 ConflictVerdict FixedSpaceContext::verdict(ConflictOracle oracle,

@@ -13,7 +13,13 @@
 //   - k <= n-2: the column-HNF of [S; pi] shares all of S's reduction work
 //     across candidates; the per-row operations depend only on the row
 //     being eliminated, so an S-prefix warm start replays bit-identically
-//     (lattice::detail::hermite_prefix_t / hermite_extend_row_t).
+//     (lattice::detail::hermite_prefix_t / hermite_extend_row_t).  The
+//     screen needs even less: with w = pi U_S[:, k-1:], rank([S; pi]) = k
+//     exactly when w != 0, and the kernel block that keys the verdict
+//     cache is U_S[:, k-1:] E(w)[:, 1:], where E(w) is the xgcd chain the
+//     last HNF step runs on w.  For k = n-2 a cache miss is first handed
+//     to a 2-D lattice reduction in the box norm (lattice/gauss.hpp),
+//     which rejects the candidate when it finds a conflict vector.
 // All per-candidate arithmetic runs on the CheckedInt machine-word fast
 // path with the usual exact::with_fallback BigInt restart, so verdicts
 // (status, rule string AND witness) are bit-identical to the from-scratch
@@ -83,8 +89,37 @@ class FixedSpaceContext {
   mapping::ConflictVerdict verdict(ConflictOracle oracle,
                                    const VecI& pi) const;
 
+  /// What the k <= n-2 screen computes for pi on machine words.
+  struct KernelImage {
+    bool full_rank = false;  ///< w = pi U_S[:, k-1:] != 0
+    /// n x (n-k), when full_rank: columns k.. of the multiplier of the
+    /// column-HNF of [S; pi], a basis of its integer kernel.
+    MatI kernel;
+    /// k = n-2 only: the conflict vector the box-norm reduction finds,
+    /// which makes the screen reject pi without the verdict ladder.
+    std::optional<VecI> box_witness;
+  };
+
+  /// The screen's view of pi, exposed so tests can check it against the
+  /// HNF.  nullopt where the screen takes the HNF path instead: k > n-2,
+  /// S without full row rank, or an int64 overflow.
+  std::optional<KernelImage> kernel_image(const VecI& pi) const;
+
  private:
   struct Impl;
+
+  /// The k <= n-2 screen on machine words: the rank test and cache key
+  /// from the kernel block, then the box-norm reject, then the verdict
+  /// ladder on a miss.  The outer nullopt means the path does not apply
+  /// (see kernel_image); the caller then takes accept_hnf.
+  std::optional<std::optional<mapping::ConflictVerdict>> kernel_screen(
+      ConflictOracle oracle, const VecI& pi, VerdictCache* cache) const;
+
+  /// accept() through verdict(), uncached: the path of candidates the
+  /// machine-word screens cannot take (their overflow restarts included).
+  std::optional<mapping::ConflictVerdict> accept_hnf(ConflictOracle oracle,
+                                                     const VecI& pi) const;
+
   std::unique_ptr<const Impl> impl_;
 };
 

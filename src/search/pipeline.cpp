@@ -11,6 +11,7 @@
 #include "exact/checked.hpp"
 #include "mapping/canonical_key.hpp"
 #include "obs/obs.hpp"
+#include "search/enumerate.hpp"
 #include "search/fixed_space.hpp"
 #include "search/ilp_formulation.hpp"
 #include "search/verdict_cache.hpp"
@@ -19,10 +20,6 @@
 namespace sysmap::search {
 
 namespace {
-
-/// Levels past this would make the prefix DP arrays unreasonably large;
-/// the orbit cache simply stands down for such bounds.
-constexpr Int kMaxPrefixLevels = Int{1} << 20;
 
 // Completes a found schedule with array design and optional simulation.
 void finalize(const model::UniformDependenceAlgorithm& algo,
@@ -48,64 +45,6 @@ void finalize(const model::UniformDependenceAlgorithm& algo,
   }
 }
 
-// The heuristic objective bound Procedure 5.1 applies when the caller
-// passes 0 -- resolved here explicitly so the incumbent cap and the orbit
-// entries can compose with it.
-Int default_max_objective(const model::IndexSet& set) {
-  Int mu_max = 0;
-  Int mu_sum = 0;
-  for (std::size_t i = 0; i < set.dimension(); ++i) {
-    mu_max = std::max(mu_max, set.mu(i));
-    mu_sum = exact::add_checked(mu_sum, set.mu(i));
-  }
-  return exact::mul_checked(4, exact::mul_checked(mu_max + 1, mu_sum));
-}
-
-// Exact cumulative per-level candidate counts of the Procedure-5.1
-// enumeration: cum[f] = number of candidates for_each_schedule_at visits
-// over levels 1..f, i.e. sum over l <= f of #{pi : sum |pi_i| mu_i = l}.
-// Computed from the generating function prod_i (1 + 2 x^{mu_i} +
-// 2 x^{2 mu_i} + ...) with one O(size) convolution per coordinate -- never
-// by enumeration, which is what lets a schedule-orbit hit reproduce the
-// cold search's candidates_tested without re-walking the skipped levels.
-// Returns false when a count overflows uint64 or the bound is oversized;
-// the orbit cache then stands down entirely.
-bool build_level_prefix(const model::IndexSet& set, Int max,
-                        std::vector<std::uint64_t>& cum) {
-  if (max < 0 || max > kMaxPrefixLevels) return false;
-  bool ok = true;
-  auto add = [&ok](std::uint64_t a, std::uint64_t b) {
-    std::uint64_t s = 0;
-    if (__builtin_add_overflow(a, b, &s)) ok = false;
-    return s;
-  };
-  const std::size_t size = static_cast<std::size_t>(max) + 1;
-  std::vector<std::uint64_t> ways(size, 0);
-  ways[0] = 1;  // the empty assignment at level 0 (never itself visited)
-  std::vector<std::uint64_t> run(size, 0);
-  std::vector<std::uint64_t> next(size, 0);
-  for (std::size_t i = 0; i < set.dimension() && ok; ++i) {
-    const Int mu = set.mu(i);
-    // mu <= 0 coordinates are pinned to 0 by the enumeration (factor 1);
-    // mu > max coordinates contribute nothing below the bound either.
-    if (mu <= 0 || static_cast<std::uint64_t>(mu) >= size) continue;
-    const std::size_t m = static_cast<std::size_t>(mu);
-    for (std::size_t f = 0; f < size; ++f) {
-      // run[f] = sum_{a >= 1} ways[f - a m] over the PREVIOUS layer.
-      const std::uint64_t r = f >= m ? add(ways[f - m], run[f - m]) : 0;
-      run[f] = r;
-      next[f] = add(ways[f], add(r, r));  // ways[f] + 2 * run[f]
-    }
-    ways.swap(next);
-  }
-  if (!ok) return false;
-  cum.assign(size, 0);
-  for (std::size_t f = 1; f < size; ++f) {
-    cum[f] = add(cum[f - 1], ways[f]);
-  }
-  return ok;
-}
-
 }  // namespace
 
 // Everything the fused path shares across score() calls.  All mutable
@@ -124,9 +63,9 @@ struct MappingPipeline::Fusion {
 
   std::mutex mu;
   bool ready = false;
-  bool prefix_ok = false;
+  bool counts_ok = false;
   std::vector<Int> sig;  ///< n, extents, dependence matrix -- resets state
-  std::vector<std::uint64_t> cum;
+  std::optional<LevelCounts> counts;
   std::unordered_map<mapping::ConflictKey, Entry, mapping::ConflictKeyHash>
       entries;
 
@@ -136,7 +75,8 @@ struct MappingPipeline::Fusion {
   std::atomic<std::uint64_t> truncated{0};
 
   /// (Re)anchors the per-algorithm state; true when the orbit cache (and
-  /// its stats-reproducing prefix) is usable for this algorithm + bound.
+  /// the level counts that reproduce its statistics) is usable for this
+  /// algorithm + bound.
   bool prepare(const model::UniformDependenceAlgorithm& algo,
                Int resolved_max) {
     const model::IndexSet& set = algo.index_set();
@@ -155,10 +95,14 @@ struct MappingPipeline::Fusion {
     if (!ready || fresh != sig) {
       sig = std::move(fresh);
       entries.clear();
-      prefix_ok = build_level_prefix(set, resolved_max, cum);
+      // Exact per-level candidate counts let an orbit hit reproduce the
+      // cold search's candidates_tested without re-walking skipped levels;
+      // on overflow or an oversized bound the orbit cache stands down.
+      counts.emplace(set);
+      counts_ok = counts->extend_to(resolved_max);
       ready = true;
     }
-    return prefix_ok;
+    return counts_ok;
   }
 
   std::optional<Entry> lookup(const mapping::ConflictKey& key) {
@@ -198,12 +142,12 @@ struct MappingPipeline::Fusion {
   }
 
   /// Candidates the serial sweep visits at levels 1..f-1 / 1..f.  Callers
-  /// guarantee prefix_ok and the argument within the built range.
+  /// guarantee counts_ok and 1 <= f <= the prepared bound.
   std::uint64_t below(Int f) const {
-    return cum[static_cast<std::size_t>(f) - 1];
+    return counts->through(static_cast<std::size_t>(f) - 1);
   }
   std::uint64_t through(Int f) const {
-    return cum[static_cast<std::size_t>(f)];
+    return counts->through(static_cast<std::size_t>(f));
   }
 };
 
@@ -325,7 +269,7 @@ MappingSolution MappingPipeline::solve(
         solution.found = true;
         solution.pi = ilp.pi;
         solution.objective = ilp.objective;
-        solution.makespan = ilp.objective + 1;
+        solution.makespan = exact::add_checked(ilp.objective, 1);
         solution.verdict = mapping::decide_conflict_free(
             mapping::MappingMatrix(space, ilp.pi), algo.index_set());
         solution.method_used = "ILP (5.1)-(5.2), bound-tight";
@@ -356,7 +300,7 @@ MappingSolution MappingPipeline::solve(
           solution.verdict = mapping::decide_conflict_free(
               mapping::MappingMatrix(space, ilp.pi), algo.index_set());
         }
-        solution.makespan = solution.objective + 1;
+        solution.makespan = exact::add_checked(solution.objective, 1);
         solution.method_used = "ILP (5.1)-(5.2) + Procedure 5.1 certification";
       }
       finalize(algo, space, options_, solution);

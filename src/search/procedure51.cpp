@@ -42,6 +42,17 @@ mapping::ConflictVerdict run_conflict_oracle(ConflictOracle oracle,
   }
 }
 
+Int default_max_objective(const model::IndexSet& set) {
+  Int mu_max = 0;
+  Int mu_sum = 0;
+  for (std::size_t i = 0; i < set.dimension(); ++i) {
+    mu_max = std::max(mu_max, set.mu(i));
+    mu_sum = exact::add_checked(mu_sum, set.mu(i));
+  }
+  return exact::mul_checked(
+      4, exact::mul_checked(exact::add_checked(mu_max, 1), mu_sum));
+}
+
 bool enumerate_schedules_at(const model::IndexSet& set, Int f,
                             const std::function<bool(const VecI&)>& visit) {
   return for_each_schedule_at(set, f, visit);
@@ -59,17 +70,9 @@ SearchResult procedure_5_1(const model::UniformDependenceAlgorithm& algo,
     throw std::invalid_argument("procedure_5_1: k must not exceed n");
   }
 
-  Int max_objective = options.max_objective;
-  if (max_objective <= 0) {
-    Int mu_max = 0;
-    Int mu_sum = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      mu_max = std::max(mu_max, set.mu(i));
-      mu_sum = exact::add_checked(mu_sum, set.mu(i));
-    }
-    max_objective =
-        exact::mul_checked(4, exact::mul_checked(mu_max + 1, mu_sum));
-  }
+  const Int max_objective = options.max_objective > 0
+                                ? options.max_objective
+                                : default_max_objective(set);
 
   // The fixed-S context hoists every per-candidate invariant of S out of
   // the sweep (echelon rank replay, Prop 3.2 cofactors, HNF warm start);
@@ -103,15 +106,15 @@ SearchResult procedure_5_1(const model::UniformDependenceAlgorithm& algo,
   // multiple of gcd_i mu_i.
   const Int stride = objective_level_stride(set);
 
+  // (1) Pi D > 0 is decided by the sweep itself, which skips whole
+  // subtrees that cannot pass it and counts their candidates as tested.
+  DependenceSweep sweep(set, d);
   SearchResult result;
   for (Int f = std::max<Int>(options.min_objective, 1); f <= max_objective;
        ++f) {
     if (f % stride != 0) continue;
     bool found_at_level = false;
-    for_each_schedule_at(set, f, [&](const VecI& pi) {
-      ++result.candidates_tested;
-      // (1) Pi D > 0.
-      if (!schedule::respects_dependences(pi, d)) return true;
+    sweep.walk(f, result.candidates_tested, [&](const VecI& pi) {
       ++result.candidates_passed_dependence;
       mapping::ConflictVerdict verdict;
       if (ctx) {

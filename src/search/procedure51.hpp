@@ -37,8 +37,7 @@ struct SearchOptions {
   /// Start the scan at this objective value (used to resume above an ILP
   /// lower bound).
   Int min_objective = 0;
-  /// Abort when f exceeds this bound; 0 selects a heuristic default of
-  /// 4 * (max mu + 1) * sum(mu).
+  /// Abort when f exceeds this bound; 0 selects default_max_objective.
   Int max_objective = 0;
   ConflictOracle oracle = ConflictOracle::kExact;
   /// Require routability on this target array (condition 4); nullopt
@@ -82,6 +81,12 @@ struct SearchResult {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
 };
+
+/// The heuristic objective bound 4 * (max mu + 1) * sum(mu) that
+/// procedure_5_1 and search::MappingPipeline apply when the caller passes
+/// max_objective = 0.  Throws exact::OverflowError when it does not fit
+/// int64.
+Int default_max_objective(const model::IndexSet& set);
 
 /// Runs Procedure 5.1 for algorithm (J, D) and space mapping S.
 SearchResult procedure_5_1(const model::UniformDependenceAlgorithm& algo,

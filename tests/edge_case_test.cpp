@@ -10,6 +10,8 @@
 #include "opt/simplex.hpp"
 #include "opt/vertex_enum.hpp"
 #include "schedule/interconnect.hpp"
+#include "exact/checked.hpp"
+#include "search/pipeline.hpp"
 #include "search/procedure51.hpp"
 #include "systolic/io_schedule.hpp"
 
@@ -139,6 +141,47 @@ TEST(Edge, UnitCubeNdSearch) {
   brute.oracle = search::ConflictOracle::kBruteForce;
   search::SearchResult rb = search::procedure_5_1(algo, space, brute);
   EXPECT_EQ(r.objective, rb.objective);
+}
+
+// mu_i = INT64_MAX is a legal bound (Equation 2.5 only asks mu_i >= 1),
+// but the default objective bound 4 (max mu + 1) sum mu does not fit
+// int64: both search entry points must refuse cleanly, not wrap.
+model::UniformDependenceAlgorithm huge_mu_algorithm() {
+  return {"huge_mu", model::IndexSet({INT64_MAX, 1, 1}),
+          MatI::identity(3)};
+}
+
+TEST(Edge, HugeMuDefaultBoundOverflowsCleanly) {
+  const model::UniformDependenceAlgorithm algo = huge_mu_algorithm();
+  EXPECT_THROW(search::default_max_objective(algo.index_set()),
+               exact::OverflowError);
+  EXPECT_THROW(search::procedure_5_1(algo, MatI{{1, 1, 1}}),
+               exact::OverflowError);
+  search::MappingPipeline pipeline;
+  EXPECT_THROW(pipeline.find_time_optimal(algo, MatI{{1, 1, 1}}),
+               exact::OverflowError);
+  // k = n - 2 goes to Procedure 5.1 directly; same refusal.
+  EXPECT_THROW(pipeline.find_time_optimal(algo, MatI(0, 3)),
+               exact::OverflowError);
+}
+
+TEST(Edge, HugeMuSearchWithExplicitBound) {
+  // An explicit bound sidesteps the default: the search runs, and the
+  // huge coordinate simply never fits below the bound.
+  const model::UniformDependenceAlgorithm algo = huge_mu_algorithm();
+  search::SearchOptions options;
+  options.max_objective = 6;
+  const search::SearchResult r =
+      search::procedure_5_1(algo, MatI{{1, 1, 1}}, options);
+  EXPECT_FALSE(r.found);
+  EXPECT_GT(r.candidates_tested, 0u);
+}
+
+TEST(Edge, HugeMuIndexSetSizeIsExact) {
+  // (INT64_MAX + 1) * 2 * 3 = 2^63 * 6.
+  const model::IndexSet set({INT64_MAX, 1, 2});
+  EXPECT_EQ(set.size().to_string(), "55340232221128654848");
+  EXPECT_THROW(set.size_u64(), exact::OverflowError);
 }
 
 }  // namespace

@@ -348,6 +348,8 @@ bool GuardsPass::kernel_surface(const std::string& path) {
       "src/lattice",          "src/mapping",          "src/exact",
       "src/opt",              "src/search/ilp_formulation",
       "src/search/fixed_space", "src/search/space_optimal",
+      "src/search/procedure51", "src/search/enumerate",
+      "src/search/pipeline",
       "src/support/flat_image_set", "src/support/packed_coord",
       "src/systolic/simulator", "src/systolic/engine",
       "lint_fixtures"};

@@ -1,6 +1,7 @@
 #include "search/fixed_space.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -306,6 +307,120 @@ ConflictVerdict hnf_tail_verdict(ConflictOracle oracle,
   return mapping::detail::decide_conflict_free_hnf_ladder_t(hnf, k, set);
 }
 
+/// Largest difference box prod_i (2 mu_i + 1) whose kernel vectors the
+/// k <= n-2 screen lists; the list holds at most half of its points.
+constexpr Int kMaxListBox = Int{1} << 16;
+
+/// Depth-first walk over the difference box in lexicographic order that
+/// keeps the partial sums S v of the fixed prefix.  Coordinate i only
+/// takes the values x with |(S v)_r + s_ri x| <= reach_r(i + 1) in every
+/// row, where reach_r(i) = sum_{j >= i} |s_rj| mu_j bounds what the
+/// remaining coordinates can add; reach_r(n) = 0, so every leaf is in
+/// ker S.
+struct BoxKernelWalk {
+  const MatI& space;
+  const model::IndexSet& set;
+  std::size_t n = 0;
+  std::size_t rows = 0;
+  std::vector<Int> reach;    ///< (n + 1) x rows
+  std::vector<Int> partial;  ///< (n + 1) x rows: S v over v_0..v_{i-1}
+  VecI v;
+  std::vector<Int> found;  ///< n entries per vector, in walk order
+
+  BoxKernelWalk(const MatI& space_in, const model::IndexSet& set_in)
+      : space(space_in),
+        set(set_in),
+        n(set_in.dimension()),
+        rows(space_in.rows()),
+        reach((set_in.dimension() + 1) * space_in.rows(), 0),
+        partial((set_in.dimension() + 1) * space_in.rows(), 0),
+        v(set_in.dimension(), 0) {
+    for (std::size_t i = n; i-- > 0;) {
+      for (std::size_t r = 0; r < rows; ++r) {
+        reach[i * rows + r] = exact::add_checked(
+            reach[(i + 1) * rows + r],
+            exact::mul_checked(exact::abs_checked(space(r, i)), set.mu(i)));
+      }
+    }
+  }
+
+  /// Coordinate i onward; before the first nonzero entry only
+  /// nonnegative values are tried, so one vector of each sign pair is
+  /// found and the zero vector is not.
+  void visit(std::size_t i, bool nonzero) {
+    if (i == n) {
+      if (nonzero) found.insert(found.end(), v.begin(), v.end());
+      return;
+    }
+    Int lo = nonzero ? exact::neg_checked(set.mu(i)) : 0;
+    Int hi = set.mu(i);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const Int s = space(r, i);
+      const Int p = partial[i * rows + r];
+      const Int room = reach[(i + 1) * rows + r];
+      if (s == 0) {
+        if (exact::abs_checked(p) > room) return;
+        continue;
+      }
+      // |p + s x| <= room, with the sign of s moved onto p.
+      const Int a = s < 0 ? exact::neg_checked(s) : s;
+      const Int b = s < 0 ? exact::neg_checked(p) : p;
+      lo = std::max(lo, exact::neg_checked(exact::floor_div_checked(
+                            exact::add_checked(room, b), a)));
+      hi = std::min(hi,
+                    exact::floor_div_checked(exact::sub_checked(room, b), a));
+    }
+    for (Int x = lo; x <= hi; x = exact::add_checked(x, 1)) {
+      for (std::size_t r = 0; r < rows; ++r) {
+        partial[(i + 1) * rows + r] = exact::add_checked(
+            partial[i * rows + r], exact::mul_checked(space(r, i), x));
+      }
+      v[i] = x;
+      visit(i + 1, nonzero || x != 0);
+    }
+    v[i] = 0;
+  }
+};
+
+/// V_S: the nonzero vectors of ker S with |v_i| <= mu_i, one per sign
+/// pair (first nonzero entry positive), n entries each, sorted by L1 norm
+/// with ties in lexicographic walk order.  nullopt when the difference
+/// box has more than kMaxListBox points.  Throws exact::OverflowError
+/// when a row's reach overflows int64.
+std::optional<std::vector<Int>> box_kernel_vectors(const MatI& space,
+                                                   const model::IndexSet& set) {
+  const std::size_t n = set.dimension();
+  Int box = 1;
+  Int max_norm = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (set.mu(i) > kMaxListBox) return std::nullopt;
+    box = exact::mul_checked(
+        box, exact::add_checked(exact::mul_checked(2, set.mu(i)), 1));
+    if (box > kMaxListBox) return std::nullopt;
+    max_norm = exact::add_checked(max_norm, set.mu(i));
+  }
+  BoxKernelWalk walk(space, set);
+  walk.visit(0, false);
+  // Counting sort on the L1 norm (at most max_norm), stable.
+  const std::size_t count = walk.found.size() / n;
+  std::vector<std::size_t> norm(count, 0);
+  std::vector<std::size_t> start(static_cast<std::size_t>(max_norm) + 2, 0);
+  for (std::size_t c = 0; c < count; ++c) {
+    for (std::size_t i = 0; i < n; ++i) {
+      norm[c] += static_cast<std::size_t>(
+          exact::abs_checked(walk.found[c * n + i]));
+    }
+    ++start[norm[c] + 1];
+  }
+  for (std::size_t b = 1; b < start.size(); ++b) start[b] += start[b - 1];
+  std::vector<Int> out(walk.found.size());
+  for (std::size_t c = 0; c < count; ++c) {
+    std::copy_n(walk.found.begin() + c * n, n,
+                out.begin() + start[norm[c]]++ * n);
+  }
+  return out;
+}
+
 /// Per-thread buffers of the k <= n-2 screen, reused across candidates.
 struct KernelScratch {
   std::vector<Int> work;  ///< (n + 1) x m row-major: [w; U_S[:, k-1:]]
@@ -345,12 +460,97 @@ struct FixedSpaceContext::Impl {
   // threads query one context.
   mutable std::once_flag big_once;
   mutable std::optional<Data<BigInt>> big_data;
+  // V_S for the k <= n-2 screen (box_kernel_vectors); stays nullopt past
+  // kMaxListBox or when building overflowed.  It is built on the
+  // context's second scan: the first screen takes the kernel-block path,
+  // so a context that screens one candidate (as each S of the Problem 6.1
+  // sweep does) never pays for the list.
+  mutable std::atomic<bool> list_wanted{false};
+  mutable std::once_flag list_once;
+  mutable std::optional<std::vector<Int>> list_data;
 
   const Data<BigInt>& big() const {
     std::call_once(big_once,
                    [this] { big_data = build<BigInt>(space, n); });
     return *big_data;
   }
+
+  /// V_S, or nullptr while the list is not built or cannot be.
+  const std::vector<Int>* box_list() const {
+    if (!list_wanted.load()) {
+      list_wanted.store(true);
+      return nullptr;
+    }
+    std::call_once(list_once, [this] {
+      try {
+        list_data = box_kernel_vectors(space, set);
+      } catch (const exact::OverflowError&) {
+      }
+    });
+    return list_data ? &*list_data : nullptr;
+  }
+
+  /// Offset into box_list() of the first listed v with pi . v = 0.  Such
+  /// a v is a nonzero vector of ker [S; pi] inside the box: a conflict
+  /// vector, whatever rank(T) is.  nullopt when no listed vector is
+  /// orthogonal to pi, when the box has no list, or when the bound
+  /// f = sum_i |pi_i| mu_i overflows int64; the caller then takes the
+  /// kernel-block path.  Every partial sum of a dot product is at most f
+  /// in magnitude, so once f fits the scan cannot overflow (for an
+  /// enumerated pi, f is its level).
+  ///
+  /// SYSMAP_RAW_FASTPATH(fallback: kernel_block)
+  std::optional<std::size_t> list_conflict(const VecI& pi) const {
+    const std::vector<Int>* list = box_list();
+    if (list == nullptr) return std::nullopt;
+    Int f = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      Int term = 0;
+      if (pi[i] == INT64_MIN ||
+          __builtin_mul_overflow(pi[i] < 0 ? -pi[i] : pi[i], set.mu(i),
+                                 &term) ||
+          __builtin_add_overflow(f, term, &f)) {
+        return std::nullopt;
+      }
+    }
+    const std::vector<Int>& vs = *list;
+    for (std::size_t off = 0; off < vs.size(); off += n) {
+      Int dot = 0;
+      for (std::size_t i = 0; i < n; ++i) dot += pi[i] * vs[off + i];
+      if (dot == 0) return off;
+    }
+    return std::nullopt;
+  }
+
+#if SYSMAP_CONTRACTS_ACTIVE
+  /// A reject's witness must be a conflict vector of T = [S; pi]: nonzero,
+  /// inside the difference box and in ker T (checked in BigInt).
+  void expect_conflict_vector(const VecI& pi, const Int* v,
+                              const char* what) const {
+    bool nonzero = false;
+    bool in_box = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      nonzero = nonzero || v[i] != 0;
+      in_box = in_box && v[i] <= set.mu(i) &&
+               v[i] >= exact::neg_checked(set.mu(i));
+    }
+    bool in_kernel = true;
+    for (std::size_t r = 0; r < k; ++r) {
+      BigInt dot(0);
+      for (std::size_t i = 0; i < n; ++i) {
+        const Int t = r + 1 < k ? space(r, i) : pi[i];
+        dot += BigInt(t) * BigInt(v[i]);
+      }
+      in_kernel = in_kernel && dot.is_zero();
+    }
+    SYSMAP_CONTRACT(nonzero && in_box && in_kernel,
+                    "the " << what
+                           << " witness is not a conflict vector of [S; pi] "
+                              "(nonzero "
+                           << nonzero << ", in box " << in_box
+                           << ", in kernel " << in_kernel << ")");
+  }
+#endif
 
   template <typename T>
   static Data<T> build(const MatI& space, std::size_t n) {
@@ -519,142 +719,6 @@ bool FixedSpaceContext::has_full_rank(const VecI& pi) const {
       });
 }
 
-std::optional<ConflictVerdict> FixedSpaceContext::accept(
-    ConflictOracle oracle, const VecI& pi, VerdictCache* cache) const {
-  const Impl& im = *impl_;
-  if (oracle != ConflictOracle::kBruteForce && im.k + 1 == im.n) {
-    if (cache != nullptr) {
-      // Memoized variant: gamma feeds the canonical-ray key first, then
-      // the same Theorem 2.2 decision; outcomes are bit-identical (see
-      // thm31_cached) so the cache is purely an observability/reuse layer.
-      if (im.cofactor_raw) {
-        Int gamma[kRawScreenMaxN];
-        if (cross_product_raw(*im.cofactor_raw, pi, gamma)) {
-          bool all_zero = true;
-          bool canon_safe = true;  // |INT64_MIN| would trap in gcd/negate
-          for (std::size_t i = 0; i < im.n; ++i) {
-            if (gamma[i] != 0) all_zero = false;
-            if (gamma[i] == INT64_MIN) canon_safe = false;
-          }
-          if (all_zero) {
-            throw std::domain_error("unique_conflict_vector: rank(T) < n-1");
-          }
-          if (canon_safe) {
-            return thm31_cached(vec_from_raw(gamma, im.n), im.set, oracle,
-                                *cache);
-          }
-        }
-      }
-      return exact::with_fallback(
-          [&]() -> std::optional<ConflictVerdict> {
-            if (!im.checked || !im.checked->cofactor) {
-              throw exact::OverflowError("fixed-space: no checked cofactor");
-            }
-            thread_local linalg::Vector<CheckedInt> gamma;
-            if (!cross_product_into(*im.checked->cofactor, pi, gamma)) {
-              throw std::domain_error(
-                  "unique_conflict_vector: rank(T) < n-1");
-            }
-            VecI raw(gamma.size());
-            for (std::size_t i = 0; i < gamma.size(); ++i) {
-              raw[i] = gamma[i].value();
-            }
-            return thm31_cached(raw, im.set, oracle, *cache);
-          },
-          [&]() -> std::optional<ConflictVerdict> {
-            linalg::Vector<BigInt> gamma;
-            if (!cross_product_into(*im.big().cofactor, pi, gamma)) {
-              throw std::domain_error(
-                  "unique_conflict_vector: rank(T) < n-1");
-            }
-            return thm31_cached(gamma, im.set, oracle, *cache);
-          });
-    }
-    // Hot path of the gallery: Theorem 3.1 with the Prop 3.2 closed form.
-    // Rejected candidates return nullopt WITHOUT materializing the rule
-    // string or BigInt witness -- they dominate the sweep.
-    if (im.cofactor_raw) {
-      std::optional<Thm31Screen> s =
-          theorem_3_1_screen_raw(*im.cofactor_raw, pi, im.set);
-#if SYSMAP_CONTRACTS_ACTIVE
-      if (s) {
-        // Same parity contract as screen(): a raw verdict must match the
-        // exact oracle bit for bit.
-        linalg::Vector<BigInt> gamma_big;
-        Thm31Screen exact_s =
-            theorem_3_1_screen(*im.big().cofactor, pi, im.set, gamma_big);
-        SYSMAP_CONTRACT(*s == exact_s,
-                        "raw accept verdict "
-                            // SYSMAP_NARROWING_OK: enum streamed as int.
-                            << static_cast<int>(*s)
-                            << " diverges from BigInt oracle verdict "
-                            // SYSMAP_NARROWING_OK: enum streamed as int.
-                            << static_cast<int>(exact_s));
-      }
-#endif
-      if (!s) {  // int64 overflow: exact restart, as with_fallback would
-        linalg::Vector<BigInt> gamma;
-        s = theorem_3_1_screen(*im.big().cofactor, pi, im.set, gamma);
-      }
-      switch (*s) {
-        case Thm31Screen::kRankDeficient:
-          // Same throw as the seed's unique_conflict_vector_t when
-          // rank(T) < n-1 (unreachable after the rank screen).
-          throw std::domain_error("unique_conflict_vector: rank(T) < n-1");
-        case Thm31Screen::kConflict:
-          return std::nullopt;
-        case Thm31Screen::kFeasible:
-          break;
-      }
-      return mapping::detail::verdict(
-          ConflictVerdict::Status::kConflictFree,
-          "Theorem 3.1: unique conflict vector feasible");
-    }
-    return exact::with_fallback(
-        [&]() -> std::optional<ConflictVerdict> {
-          if (!im.checked || !im.checked->cofactor) {
-            throw exact::OverflowError("fixed-space: no checked cofactor");
-          }
-          thread_local linalg::Vector<CheckedInt> gamma;
-          switch (theorem_3_1_screen(*im.checked->cofactor, pi, im.set,
-                                     gamma)) {
-            case Thm31Screen::kRankDeficient:
-              // Same throw as the seed's unique_conflict_vector_t when
-              // rank(T) < n-1 (unreachable after the rank screen).
-              throw std::domain_error(
-                  "unique_conflict_vector: rank(T) < n-1");
-            case Thm31Screen::kConflict:
-              return std::nullopt;
-            case Thm31Screen::kFeasible:
-              break;
-          }
-          return mapping::detail::verdict(
-              ConflictVerdict::Status::kConflictFree,
-              "Theorem 3.1: unique conflict vector feasible");
-        },
-        [&]() -> std::optional<ConflictVerdict> {
-          linalg::Vector<BigInt> gamma;
-          switch (theorem_3_1_screen(*im.big().cofactor, pi, im.set, gamma)) {
-            case Thm31Screen::kRankDeficient:
-              throw std::domain_error(
-                  "unique_conflict_vector: rank(T) < n-1");
-            case Thm31Screen::kConflict:
-              return std::nullopt;
-            case Thm31Screen::kFeasible:
-              break;
-          }
-          return mapping::detail::verdict(
-              ConflictVerdict::Status::kConflictFree,
-              "Theorem 3.1: unique conflict vector feasible");
-        });
-  }
-  if (std::optional<std::optional<ConflictVerdict>> fast =
-          kernel_screen(oracle, pi, cache)) {
-    return std::move(*fast);
-  }
-  return accept_hnf(oracle, pi);
-}
-
 std::optional<ConflictVerdict> FixedSpaceContext::accept_hnf(
     ConflictOracle oracle, const VecI& pi) const {
   ConflictVerdict v = verdict(oracle, pi);
@@ -783,6 +847,20 @@ std::optional<std::optional<ConflictVerdict>> FixedSpaceContext::kernel_screen(
     return std::nullopt;
   }
   const std::optional<ConflictVerdict> reject;
+  // A listed v orthogonal to pi is a conflict vector of [S; pi], so a
+  // sound oracle rejects: no kernel block, key, cache traffic or verdict.
+  // The published Theorem 4.8 (kPaperTheorems at k = n-3) is not sound --
+  // it can accept a T with a conflict (docs/THEORY.md) -- so its verdicts
+  // are kept by skipping the scan there.
+  const bool sound = oracle == ConflictOracle::kExact || im.k + 3 != im.n;
+  if (const std::optional<std::size_t> off =
+          sound ? im.list_conflict(pi) : std::nullopt) {
+#if SYSMAP_CONTRACTS_ACTIVE
+    im.expect_conflict_vector(pi, im.box_list()->data() + *off,
+                              "list reject");
+#endif
+    return reject;
+  }
   thread_local KernelScratch s;
   try {
     if (!im.kernel_block(pi, s)) return reject;  // rank([S; pi]) < k
@@ -810,27 +888,7 @@ std::optional<std::optional<ConflictVerdict>> FixedSpaceContext::kernel_screen(
       lattice::box_short_vector(s.cols.data(), s.cols.data() + im.n, im.set,
                                 s.witness)) {
 #if SYSMAP_CONTRACTS_ACTIVE
-    bool nonzero = false;
-    bool in_box = true;
-    for (std::size_t i = 0; i < im.n; ++i) {
-      nonzero = nonzero || s.witness[i] != 0;
-      in_box = in_box && s.witness[i] <= im.set.mu(i) &&
-               s.witness[i] >= exact::neg_checked(im.set.mu(i));
-    }
-    bool in_kernel = true;
-    for (std::size_t r = 0; r < im.k; ++r) {
-      BigInt dot(0);
-      for (std::size_t i = 0; i < im.n; ++i) {
-        const Int t = r + 1 < im.k ? im.space(r, i) : pi[i];
-        dot += BigInt(t) * BigInt(s.witness[i]);
-      }
-      in_kernel = in_kernel && dot.is_zero();
-    }
-    SYSMAP_CONTRACT(nonzero && in_box && in_kernel,
-                    "box-norm reject witness is not a conflict vector of "
-                    "[S; pi] (nonzero "
-                        << nonzero << ", in box " << in_box << ", in kernel "
-                        << in_kernel << ")");
+    im.expect_conflict_vector(pi, s.witness.data(), "box-norm reject");
 #endif
     if (cache != nullptr) cache->insert(s.key, false, std::string_view{});
     return reject;

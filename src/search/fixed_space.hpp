@@ -20,6 +20,13 @@
 //     last HNF step runs on w.  For k = n-2 a cache miss is first handed
 //     to a 2-D lattice reduction in the box norm (lattice/gauss.hpp),
 //     which rejects the candidate when it finds a conflict vector.
+//   - k <= n-2, ahead of all that: T gamma = 0 iff S gamma = 0 and
+//     pi . gamma = 0, so every conflict vector of every candidate lies in
+//     V_S = ker S inside the difference box (Theorem 2.2).  When the box is
+//     small the context lists V_S once (on its second screen, so a
+//     context that screens one candidate never pays for it), and a
+//     candidate with pi . v = 0 for a listed v is rejected by that scan
+//     alone.
 // All per-candidate arithmetic runs on the CheckedInt machine-word fast
 // path with the usual exact::with_fallback BigInt restart, so verdicts
 // (status, rule string AND witness) are bit-identical to the from-scratch
@@ -62,24 +69,16 @@ class FixedSpaceContext {
   bool has_full_rank(const VecI& pi) const;
 
   /// Fused Step 5(2)+(3): nullopt when pi fails the rank screen OR is not
-  /// conflict-free; the accepting verdict otherwise.  Equivalent to
-  /// `has_full_rank(pi) ? accept(oracle, pi) : nullopt`, but for k = n-1
-  /// one cofactor product C pi decides both screens (the cross product of
-  /// an (n-1) x n matrix is nonzero exactly when it has full rank), so the
-  /// echelon replay is skipped on the sweep's hottest path.  With a
-  /// non-null `cache`, outcomes are memoized by canonical conflict form
-  /// under the admission policy of verdict_cache.hpp -- results stay
-  /// bit-identical; only the hit/miss counters observe the cache.
-  std::optional<mapping::ConflictVerdict> screen(
-      ConflictOracle oracle, const VecI& pi,
-      VerdictCache* cache = nullptr) const;
-
-  /// The per-candidate accept screen: nullopt when the candidate is NOT
   /// conflict-free under `oracle` (no rule string or witness is
-  /// materialized -- rejected candidates dominate the sweep), otherwise
-  /// the full accepting verdict, bit-identical to the seed path's.
-  /// Precondition as in Procedure 5.1: has_full_rank(pi) already passed.
-  std::optional<mapping::ConflictVerdict> accept(
+  /// materialized -- rejected candidates dominate the sweep); otherwise
+  /// the accepting verdict, status and rule bit-identical to the seed
+  /// path's.  For k = n-1 one cofactor product C pi decides both screens
+  /// (the cross product of an (n-1) x n matrix is nonzero exactly when it
+  /// has full rank); for k <= n-2 the scan of V_S and the kernel block do.
+  /// With a non-null `cache`, outcomes are memoized by canonical conflict
+  /// form under the admission policy of verdict_cache.hpp -- results stay
+  /// bit-identical; only the cache's counters observe it.
+  std::optional<mapping::ConflictVerdict> screen(
       ConflictOracle oracle, const VecI& pi,
       VerdictCache* cache = nullptr) const;
 
@@ -108,15 +107,16 @@ class FixedSpaceContext {
  private:
   struct Impl;
 
-  /// The k <= n-2 screen on machine words: the rank test and cache key
-  /// from the kernel block, then the box-norm reject, then the verdict
-  /// ladder on a miss.  The outer nullopt means the path does not apply
-  /// (see kernel_image); the caller then takes accept_hnf.
+  /// The k <= n-2 screen on machine words: the scan of V_S, then the rank
+  /// test and cache key from the kernel block, then the box-norm reject,
+  /// then the verdict ladder on a miss.  The outer nullopt means the path
+  /// does not apply (see kernel_image); the caller then takes accept_hnf.
   std::optional<std::optional<mapping::ConflictVerdict>> kernel_screen(
       ConflictOracle oracle, const VecI& pi, VerdictCache* cache) const;
 
-  /// accept() through verdict(), uncached: the path of candidates the
-  /// machine-word screens cannot take (their overflow restarts included).
+  /// The accepting verdict() or nullopt, uncached: the path of candidates
+  /// the machine-word screens cannot take (their overflow restarts
+  /// included).  Precondition: has_full_rank(pi).
   std::optional<mapping::ConflictVerdict> accept_hnf(ConflictOracle oracle,
                                                      const VecI& pi) const;
 

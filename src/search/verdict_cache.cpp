@@ -41,12 +41,53 @@ ShardMetrics intern_shard_metrics(const char* cache, std::size_t shard) {
   return ids;
 }
 
+/// A stored key with its hash, computed once when the key is looked up or
+/// inserted; the maps read the stored hash instead of hashing again.
+struct HashedKey {
+  mapping::ConflictKey key;
+  std::size_t hash = 0;
+};
+
+/// Lookup probe: the caller's key by reference, with its hash.
+struct HashedKeyRef {
+  const mapping::ConflictKey& key;
+  std::size_t hash = 0;
+};
+
+/// Transparent hash and equality over both, so find() takes a
+/// HashedKeyRef without copying the key.
+struct PrehashedHash {
+  using is_transparent = void;
+  std::size_t operator()(const HashedKey& k) const noexcept { return k.hash; }
+  std::size_t operator()(const HashedKeyRef& k) const noexcept {
+    return k.hash;
+  }
+};
+
+struct PrehashedEqual {
+  using is_transparent = void;
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    return a.hash == b.hash && a.key == b.key;
+  }
+};
+
+template <typename V>
+using PrehashedMap =
+    std::unordered_map<HashedKey, V, PrehashedHash, PrehashedEqual>;
+
+/// Shard index from a key hash.  The FNV mix already avalanches; fold the
+/// high bits in so shard choice is not just the hash-table bucket bits
+/// again.
+std::size_t shard_index(std::size_t h, std::size_t shard_count) noexcept {
+  return (h ^ (h >> 16)) % shard_count;
+}
+
 }  // namespace
 
 struct VerdictCache::Shard {
   mutable std::mutex mu;
-  std::unordered_map<mapping::ConflictKey, Outcome, mapping::ConflictKeyHash>
-      map;
+  PrehashedMap<Outcome> map;
   ShardMetrics metrics;
 };
 
@@ -62,20 +103,13 @@ VerdictCache::VerdictCache(std::size_t shard_count)
 
 VerdictCache::~VerdictCache() = default;
 
-std::size_t VerdictCache::shard_for(
-    const mapping::ConflictKey& key) const noexcept {
-  // The FNV mix already avalanches; fold the high bits in so shard choice
-  // is not just the hash-table bucket bits again.
-  const std::size_t h = key.hash();
-  return (h ^ (h >> 16)) % shard_count_;
-}
-
 std::optional<VerdictCache::Outcome> VerdictCache::lookup(
     const mapping::ConflictKey& key) const {
-  Shard& shard = shards_[shard_for(key)];
+  const std::size_t h = key.hash();
+  Shard& shard = shards_[shard_index(h, shard_count_)];
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
+    auto it = shard.map.find(HashedKeyRef{key, h});
     if (it != shard.map.end()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       obs::add(shard.metrics.hits, 1);
@@ -89,12 +123,13 @@ std::optional<VerdictCache::Outcome> VerdictCache::lookup(
 
 void VerdictCache::insert(const mapping::ConflictKey& key, bool conflict_free,
                           std::string_view rule) {
-  Shard& shard = shards_[shard_for(key)];
+  const std::size_t h = key.hash();
+  Shard& shard = shards_[shard_index(h, shard_count_)];
   Outcome outcome;
   outcome.conflict_free = conflict_free;
   outcome.rule.assign(rule);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.emplace(key, std::move(outcome)).second) {
+  if (shard.map.emplace(HashedKey{key, h}, std::move(outcome)).second) {
     insertions_.fetch_add(1, std::memory_order_relaxed);
     obs::add(shard.metrics.admissions, 1);
   }
@@ -124,7 +159,7 @@ void VerdictCache::clear() {
 
 struct ImageCountCache::Shard {
   mutable std::mutex mu;
-  std::unordered_map<mapping::ConflictKey, Int, mapping::ConflictKeyHash> map;
+  PrehashedMap<Int> map;
   ShardMetrics metrics;
 };
 
@@ -140,18 +175,13 @@ ImageCountCache::ImageCountCache(std::size_t shard_count)
 
 ImageCountCache::~ImageCountCache() = default;
 
-std::size_t ImageCountCache::shard_for(
-    const mapping::ConflictKey& key) const noexcept {
-  const std::size_t h = key.hash();
-  return (h ^ (h >> 16)) % shard_count_;
-}
-
 std::optional<Int> ImageCountCache::lookup(
     const mapping::ConflictKey& key) const {
-  Shard& shard = shards_[shard_for(key)];
+  const std::size_t h = key.hash();
+  Shard& shard = shards_[shard_index(h, shard_count_)];
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
+    auto it = shard.map.find(HashedKeyRef{key, h});
     if (it != shard.map.end()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       obs::add(shard.metrics.hits, 1);
@@ -164,9 +194,10 @@ std::optional<Int> ImageCountCache::lookup(
 }
 
 void ImageCountCache::insert(const mapping::ConflictKey& key, Int count) {
-  Shard& shard = shards_[shard_for(key)];
+  const std::size_t h = key.hash();
+  Shard& shard = shards_[shard_index(h, shard_count_)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.emplace(key, count).second) {
+  if (shard.map.emplace(HashedKey{key, h}, count).second) {
     obs::add(shard.metrics.admissions, 1);
   }
 }

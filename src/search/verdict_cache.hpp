@@ -3,7 +3,7 @@
 // mapping::ConflictKey -- the canonical form of the data the verdict is
 // actually a function of.
 //
-// WHAT IS STORED.  Only what the sweep observes: screen()/accept() return
+// WHAT IS STORED.  Only what the sweep observes: screen() returns
 // nullopt for every rejected candidate (no rule, no witness) and an
 // accepting verdict whose rule string is determined by the canonical key.
 // So an Outcome is (conflict_free, accept-rule); reject rules and
@@ -64,7 +64,7 @@ inline bool exact_accept_rule_cacheable(std::string_view rule) {
 
 class VerdictCache {
  public:
-  /// The observable slice of a screen()/accept() outcome: whether the
+  /// The observable slice of a screen() outcome: whether the
   /// candidate is conflict-free and, for accepts, the rule string of the
   /// accepting verdict (constant per canonical key under the admission
   /// policy).
@@ -100,7 +100,6 @@ class VerdictCache {
 
  private:
   struct Shard;
-  std::size_t shard_for(const mapping::ConflictKey& key) const noexcept;
 
   std::size_t shard_count_;
   std::unique_ptr<Shard[]> shards_;
@@ -141,7 +140,6 @@ class ImageCountCache {
 
  private:
   struct Shard;
-  std::size_t shard_for(const mapping::ConflictKey& key) const noexcept;
 
   std::size_t shard_count_;
   std::unique_ptr<Shard[]> shards_;

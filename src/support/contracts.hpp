@@ -17,6 +17,8 @@
 //   mapping::decide_conflict_free_exact  returned witness is a genuine
 //                                  in-box integral conflict
 //   search::FixedSpaceContext::screen  raw int64 verdict == exact verdict
+//   search::FixedSpaceContext::kernel_screen  a k <= n-2 reject's witness
+//                                  is an in-box conflict vector of [S; pi]
 //   search::procedure_5_1 / parallel   found Pi is conflict-free at the
 //                                  reported cost
 #pragma once

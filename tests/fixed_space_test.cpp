@@ -4,11 +4,13 @@
 // FixedSpaceContext-vs-seed parity across the gallery and all oracles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exact/bigint.hpp"
@@ -293,25 +295,17 @@ TEST(FixedSpaceParity, PerCandidateAgainstSeedAcrossOracles) {
               EXPECT_TRUE((*seed.witness)[i] == (*fast.witness)[i]);
             }
           }
-          // accept() is the screen the search uses: engaged exactly on
-          // conflict-free verdicts, and then identical to verdict().
-          std::optional<mapping::ConflictVerdict> accepted =
-              ctx.accept(oracle, pi);
-          EXPECT_EQ(accepted.has_value(),
-                    seed.status ==
-                        mapping::ConflictVerdict::Status::kConflictFree);
-          if (accepted) {
-            EXPECT_EQ(accepted->status, seed.status);
-            EXPECT_EQ(accepted->rule, seed.rule);
-          }
-          // screen() fuses the rank test into the same decision; with
-          // rank already passed it must agree with accept() exactly.
+          // screen() is what the search uses: with rank passed it is
+          // engaged exactly on conflict-free verdicts, and then carries
+          // the seed's status and rule.
           std::optional<mapping::ConflictVerdict> screened =
               ctx.screen(oracle, pi);
-          EXPECT_EQ(screened.has_value(), accepted.has_value());
-          if (screened && accepted) {
-            EXPECT_EQ(screened->status, accepted->status);
-            EXPECT_EQ(screened->rule, accepted->rule);
+          EXPECT_EQ(screened.has_value(),
+                    seed.status ==
+                        mapping::ConflictVerdict::Status::kConflictFree);
+          if (screened) {
+            EXPECT_EQ(screened->status, seed.status);
+            EXPECT_EQ(screened->rule, seed.rule);
           }
           std::optional<mapping::ConflictVerdict> cached =
               ctx.screen(oracle, pi, cache_for(oracle));
@@ -385,6 +379,58 @@ TEST(FixedSpaceParity, Procedure51ContextOnOffBitIdentical) {
       expect_identical(seed, fast);
     }
   }
+}
+
+// One context screened from several threads at once, from its first
+// screen on (the k <= n-2 context builds its kernel-vector list lazily
+// while the others screen), with a shared cache: every thread must see
+// the serial answers.
+TEST(FixedSpaceParity, ConcurrentScreensMatchSerial) {
+  const model::UniformDependenceAlgorithm algo =
+      model::unit_cube_algorithm(4, 2);
+  const model::IndexSet& set = algo.index_set();
+  const MatI space{{1, 1, 0, -1}};
+  std::vector<VecI> pis;
+  for (Int f = 1; f <= 22; ++f) {  // the first accepts are at f = 20
+    enumerate_schedules_at(set, f, [&](const VecI& pi) {
+      pis.push_back(pi);
+      return true;
+    });
+  }
+  std::vector<std::optional<std::string>> serial;
+  {
+    const FixedSpaceContext ctx(set, space);
+    for (const VecI& pi : pis) {
+      std::optional<mapping::ConflictVerdict> v =
+          ctx.screen(ConflictOracle::kExact, pi);
+      serial.push_back(v ? std::optional<std::string>(v->rule)
+                         : std::nullopt);
+    }
+  }
+  const FixedSpaceContext ctx(set, space);
+  VerdictCache cache;
+  constexpr std::size_t kThreads = 4;
+  std::array<std::size_t, kThreads> mismatches{};
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t i = 0; i < pis.size(); ++i) {
+        // Odd threads walk backwards so the threads meet mid-way.
+        const std::size_t j = t % 2 == 0 ? i : pis.size() - 1 - i;
+        std::optional<mapping::ConflictVerdict> v = ctx.screen(
+            ConflictOracle::kExact, pis[j], t < 2 ? &cache : nullptr);
+        const std::optional<std::string> rule =
+            v ? std::optional<std::string>(v->rule) : std::nullopt;
+        if (rule != serial[j]) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
+  EXPECT_TRUE(std::any_of(serial.begin(), serial.end(),
+                          [](const auto& r) { return r.has_value(); }));
 }
 
 TEST(FixedSpaceParity, RoutingTargetWorksThroughContext) {

@@ -9,10 +9,14 @@
 //     gallery and random algorithms, every oracle, resumed scans and a
 //     target interconnect;
 //   - FixedSpaceContext::kernel_image against the HNF of [S; Pi]: rank,
-//     kernel block and cache key, and the box-norm reject's witnesses.
+//     kernel block and cache key, and the box-norm reject's witnesses;
+//   - the scan of V_S = ker S inside the difference box against brute
+//     force and the from-scratch oracles, and its fallbacks (a box past
+//     the list limit, an overflowing dot product).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -23,6 +27,7 @@
 #include "lattice/hnf_impl.hpp"
 #include "mapping/canonical_key.hpp"
 #include "mapping/conflict.hpp"
+#include "mapping/enum_oracle.hpp"
 #include "mapping/mapping_matrix.hpp"
 #include "mapping/verdicts_impl.hpp"
 #include "model/gallery.hpp"
@@ -554,6 +559,156 @@ TEST(KernelScreen, OverflowRestartsOnTheHnfPath) {
     check_screen_case(set, space, pi, tally);
   }
   EXPECT_GT(tally.restarts, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The k <= n-2 scan of V_S = ker S inside the difference box
+// ---------------------------------------------------------------------------
+
+std::uint64_t cache_lookups(const VerdictCache& cache) {
+  const VerdictCache::Stats s = cache.stats();
+  return s.hits + s.misses;
+}
+
+struct ListTally {
+  int accepts = 0;
+  int list_rejects = 0;  ///< full-rank rejects without cache traffic
+};
+
+// One candidate under both oracles: uncached, with a fresh cache and with
+// a cache shared across the space (`shared`).  The screen must accept
+// exactly the full-rank candidates the from-scratch oracle accepts, with
+// its rule; under kExact that is brute force's verdict.  The context
+// builds its list on its second screen (the first draw's cold call), so
+// from then on a full-rank conflict under kExact must be rejected by the
+// scan alone, with no cache lookup: the list is complete, and Pi this
+// small cannot overflow.
+void check_list_case(const model::IndexSet& set, const MatI& space,
+                     const FixedSpaceContext& ctx, const VecI& pi,
+                     std::array<VerdictCache, 2>& shared, ListTally& tally) {
+  const mapping::MappingMatrix t(space, pi);
+  const bool full_rank = t.has_full_rank();
+  const std::array<ConflictOracle, 2> oracles = {ConflictOracle::kExact,
+                                                 ConflictOracle::kPaperTheorems};
+  for (std::size_t o = 0; o < oracles.size(); ++o) {
+    const ConflictOracle oracle = oracles[o];
+    std::optional<ConflictVerdict> seed;
+    if (full_rank) seed = run_conflict_oracle(oracle, t, set);
+    const bool accept =
+        seed && seed->status == ConflictVerdict::Status::kConflictFree;
+    if (oracle == ConflictOracle::kExact && full_rank) {
+      EXPECT_EQ(accept, mapping::enumeration_conflicts(t, set).status ==
+                            ConflictVerdict::Status::kConflictFree);
+    }
+    VerdictCache fresh;
+    const std::optional<ConflictVerdict> plain = ctx.screen(oracle, pi);
+    const std::optional<ConflictVerdict> cold = ctx.screen(oracle, pi, &fresh);
+    const std::optional<ConflictVerdict> warm =
+        ctx.screen(oracle, pi, &shared[o]);
+    for (const std::optional<ConflictVerdict>* v : {&plain, &cold, &warm}) {
+      ASSERT_EQ(v->has_value(), accept);
+      if (accept) {
+        EXPECT_EQ((*v)->rule, seed->rule);
+      }
+    }
+    if (oracle != ConflictOracle::kExact || !full_rank) continue;
+    if (accept) {
+      ++tally.accepts;
+    } else {
+      EXPECT_EQ(cache_lookups(fresh), 0u) << "conflict missed by the scan";
+      tally.list_rejects += cache_lookups(fresh) == 0 ? 1 : 0;
+    }
+  }
+}
+
+TEST(ListScreen, RandomSpacesMatchBruteForceAndTheHnf) {
+  Lcg rng;
+  ListTally tally;
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(rng.next(3, 5));
+    // k = n-2 or, from n = 4 on, k = n-3; S has k-1 rows.
+    const std::size_t rows =
+        n - 3 - static_cast<std::size_t>(n > 3 ? rng.next(0, 1) : 0);
+    VecI mu(n);
+    for (Int& m : mu) m = rng.next(1, 4);
+    const model::IndexSet set(mu);
+    MatI space(rows, n);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < n; ++c) space(r, c) = rng.next(-3, 3);
+    }
+    const FixedSpaceContext ctx(set, space);
+    std::array<VerdictCache, 2> shared;
+    for (int draw = 0; draw < 8; ++draw) {
+      VecI pi(n);
+      for (Int& p : pi) p = rng.next(-5, 5);
+      SCOPED_TRACE("trial " + std::to_string(trial) + " draw " +
+                   std::to_string(draw));
+      check_list_case(set, space, ctx, pi, shared, tally);
+    }
+  }
+  EXPECT_GT(tally.accepts, 100);
+  EXPECT_GT(tally.list_rejects, 600);
+}
+
+TEST(ListScreen, RejectLeavesTheCacheUntouched) {
+  // mu = 4 in 5-D: 9^5 = 59049 box points, inside the list limit; k = 3 =
+  // n - 2.  pi_2 = pi_3 puts (0, 0, 1, -1, 0) in ker [S; pi].
+  const model::IndexSet set(VecI{4, 4, 4, 4, 4});
+  const MatI space{{1, 0, 0, 0, 0}, {0, 1, 0, 0, 0}};
+  const FixedSpaceContext ctx(set, space);
+  const VecI pi{1, 2, 3, 3, 1};
+  ASSERT_TRUE(mapping::MappingMatrix(space, pi).has_full_rank());
+  // A context's first screen takes the kernel-block path; the list is
+  // built on its second.
+  EXPECT_FALSE(ctx.screen(ConflictOracle::kExact, pi).has_value());
+  for (ConflictOracle oracle :
+       {ConflictOracle::kExact, ConflictOracle::kPaperTheorems}) {
+    VerdictCache cache;
+    EXPECT_FALSE(ctx.screen(oracle, pi, &cache).has_value());
+    const VerdictCache::Stats s = cache.stats();
+    EXPECT_EQ(s.hits, 0u);
+    EXPECT_EQ(s.misses, 0u);
+    EXPECT_EQ(s.entries, 0u);
+  }
+}
+
+TEST(ListScreen, BoxAboveTheLimitTakesTheKernelPath) {
+  // mu = 5 in 5-D: 11^5 = 161051 box points, past the list limit, so the
+  // same reject goes through the kernel block and the cache.
+  const model::IndexSet set(VecI{5, 5, 5, 5, 5});
+  const MatI space{{1, 0, 0, 0, 0}, {0, 1, 0, 0, 0}};
+  const FixedSpaceContext ctx(set, space);
+  const VecI pi{1, 2, 3, 3, 1};
+  EXPECT_FALSE(ctx.screen(ConflictOracle::kExact, pi).has_value());
+  VerdictCache cache;
+  EXPECT_FALSE(ctx.screen(ConflictOracle::kExact, pi, &cache).has_value());
+  EXPECT_EQ(cache_lookups(cache), 1u);
+  EXPECT_EQ(run_conflict_oracle(ConflictOracle::kExact,
+                                mapping::MappingMatrix(space, pi), set)
+                .status,
+            ConflictVerdict::Status::kHasConflict);
+}
+
+TEST(ListScreen, OverflowingScanTakesTheKernelPath) {
+  // S = [1 0 0 0] lists the 13 sign pairs of {0} x {-1, 0, 1}^3 by L1
+  // norm.  With pi = (0, 1, m, m + 1) and m = 2^62 the fifth one,
+  // (0, 0, 1, 1), overflows pi . v before the conflict (0, 1, 1, -1) is
+  // reached, so the scan gives up and the kernel block (with its cache
+  // lookup) decides the reject.
+  const model::IndexSet set(VecI{1, 1, 1, 1});
+  const MatI space{{1, 0, 0, 0}};
+  const FixedSpaceContext ctx(set, space);
+  const Int m = Int{1} << 62;
+  const VecI pi{0, 1, m, m + 1};
+  const mapping::MappingMatrix t(space, pi);
+  ASSERT_TRUE(t.has_full_rank());
+  const ConflictVerdict seed =
+      run_conflict_oracle(ConflictOracle::kExact, t, set);
+  EXPECT_EQ(seed.status, ConflictVerdict::Status::kHasConflict);
+  EXPECT_FALSE(ctx.screen(ConflictOracle::kExact, pi).has_value());
+  VerdictCache cache;
+  EXPECT_FALSE(ctx.screen(ConflictOracle::kExact, pi, &cache).has_value());
+  EXPECT_EQ(cache_lookups(cache), 1u);
 }
 
 }  // namespace

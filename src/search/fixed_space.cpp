@@ -307,10 +307,6 @@ ConflictVerdict hnf_tail_verdict(ConflictOracle oracle,
   return mapping::detail::decide_conflict_free_hnf_ladder_t(hnf, k, set);
 }
 
-/// Largest difference box prod_i (2 mu_i + 1) whose kernel vectors the
-/// k <= n-2 screen lists; the list holds at most half of its points.
-constexpr Int kMaxListBox = Int{1} << 16;
-
 /// Depth-first walk over the difference box in lexicographic order that
 /// keeps the partial sums S v of the fixed prefix.  Coordinate i only
 /// takes the values x with |(S v)_r + s_ri x| <= reach_r(i + 1) in every
@@ -393,10 +389,10 @@ std::optional<std::vector<Int>> box_kernel_vectors(const MatI& space,
   Int box = 1;
   Int max_norm = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (set.mu(i) > kMaxListBox) return std::nullopt;
+    if (set.mu(i) > FixedSpaceContext::kMaxListBox) return std::nullopt;
     box = exact::mul_checked(
         box, exact::add_checked(exact::mul_checked(2, set.mu(i)), 1));
-    if (box > kMaxListBox) return std::nullopt;
+    if (box > FixedSpaceContext::kMaxListBox) return std::nullopt;
     max_norm = exact::add_checked(max_norm, set.mu(i));
   }
   BoxKernelWalk walk(space, set);

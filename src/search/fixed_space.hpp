@@ -61,6 +61,14 @@ class FixedSpaceContext {
   FixedSpaceContext(const FixedSpaceContext&) = delete;
   FixedSpaceContext& operator=(const FixedSpaceContext&) = delete;
 
+  /// Largest difference box prod_i (2 mu_i + 1) whose kernel vectors the
+  /// k <= n-2 screen lists (the list holds at most half of its points);
+  /// past it the screen starts at the kernel block.  4096 covers the
+  /// largest k <= n-2 boxes the benchmarks time (2401 and 3125 points);
+  /// larger boxes keep the kernel-block path until a timed workload
+  /// shows the list wins there.
+  static constexpr Int kMaxListBox = 4096;
+
   std::size_t k() const;  ///< rows(S) + 1
   std::size_t n() const;
 

@@ -572,17 +572,32 @@ std::uint64_t cache_lookups(const VerdictCache& cache) {
 
 struct ListTally {
   int accepts = 0;
-  int list_rejects = 0;  ///< full-rank rejects without cache traffic
+  int list_rejects = 0;    ///< full-rank rejects without cache traffic
+  int deep_rejects = 0;    ///< of those, at k <= n-4 (Theorem 4.5)
+  int kernel_rejects = 0;  ///< full-rank rejects past the list limit
 };
+
+/// Whether the context lists V_S: the difference box has at most
+/// FixedSpaceContext::kMaxListBox points.
+bool box_is_listed(const model::IndexSet& set) {
+  Int box = 1;
+  for (std::size_t i = 0; i < set.dimension(); ++i) {
+    box *= 2 * set.mu(i) + 1;
+    if (box > FixedSpaceContext::kMaxListBox) return false;
+  }
+  return true;
+}
 
 // One candidate under both oracles: uncached, with a fresh cache and with
 // a cache shared across the space (`shared`).  The screen must accept
 // exactly the full-rank candidates the from-scratch oracle accepts, with
-// its rule; under kExact that is brute force's verdict.  The context
-// builds its list on its second screen (the first draw's cold call), so
-// from then on a full-rank conflict under kExact must be rejected by the
-// scan alone, with no cache lookup: the list is complete, and Pi this
-// small cannot overflow.
+// its rule; under kExact that is brute force's verdict, and under
+// kPaperTheorems at k <= n-4 it is Theorem 4.5's, which the scan must
+// never overrule.  The context builds its list on its second screen (the
+// first draw's cold call), so from then on a full-rank conflict under a
+// sound oracle must be rejected by the scan alone, with no cache lookup,
+// when the box is listed (the list is complete, and Pi this small cannot
+// overflow), and through the kernel block's one lookup when it is not.
 void check_list_case(const model::IndexSet& set, const MatI& space,
                      const FixedSpaceContext& ctx, const VecI& pi,
                      std::array<VerdictCache, 2>& shared, ListTally& tally) {
@@ -611,12 +626,22 @@ void check_list_case(const model::IndexSet& set, const MatI& space,
         EXPECT_EQ((*v)->rule, seed->rule);
       }
     }
-    if (oracle != ConflictOracle::kExact || !full_rank) continue;
+    if (!full_rank) continue;
+    const bool deep = ctx.k() + 4 <= ctx.n();
+    if (oracle == ConflictOracle::kPaperTheorems && deep && !accept &&
+        box_is_listed(set)) {
+      EXPECT_EQ(cache_lookups(fresh), 0u) << "Theorem 4.5 reject missed";
+      tally.deep_rejects += cache_lookups(fresh) == 0 ? 1 : 0;
+    }
+    if (oracle != ConflictOracle::kExact) continue;
     if (accept) {
       ++tally.accepts;
-    } else {
+    } else if (box_is_listed(set)) {
       EXPECT_EQ(cache_lookups(fresh), 0u) << "conflict missed by the scan";
       tally.list_rejects += cache_lookups(fresh) == 0 ? 1 : 0;
+    } else {
+      EXPECT_EQ(cache_lookups(fresh), 1u) << "box past the limit was listed";
+      tally.kernel_rejects += cache_lookups(fresh) == 1 ? 1 : 0;
     }
   }
 }
@@ -624,11 +649,12 @@ void check_list_case(const model::IndexSet& set, const MatI& space,
 TEST(ListScreen, RandomSpacesMatchBruteForceAndTheHnf) {
   Lcg rng;
   ListTally tally;
-  for (int trial = 0; trial < 120; ++trial) {
+  for (int trial = 0; trial < 200; ++trial) {
     const std::size_t n = static_cast<std::size_t>(rng.next(3, 5));
-    // k = n-2 or, from n = 4 on, k = n-3; S has k-1 rows.
+    // k = n-2, from n = 4 on k = n-3, and at n = 5 k = n-4 (S empty);
+    // S has k-1 rows.
     const std::size_t rows =
-        n - 3 - static_cast<std::size_t>(n > 3 ? rng.next(0, 1) : 0);
+        n - 3 - static_cast<std::size_t>(rng.next(0, static_cast<Int>(n) - 3));
     VecI mu(n);
     for (Int& m : mu) m = rng.next(1, 4);
     const model::IndexSet set(mu);
@@ -646,14 +672,17 @@ TEST(ListScreen, RandomSpacesMatchBruteForceAndTheHnf) {
       check_list_case(set, space, ctx, pi, shared, tally);
     }
   }
-  EXPECT_GT(tally.accepts, 100);
-  EXPECT_GT(tally.list_rejects, 600);
+  EXPECT_GT(tally.accepts, 150);
+  EXPECT_GT(tally.list_rejects, 900);
+  EXPECT_GT(tally.deep_rejects, 50);
+  EXPECT_GT(tally.kernel_rejects, 200);
 }
 
 TEST(ListScreen, RejectLeavesTheCacheUntouched) {
-  // mu = 4 in 5-D: 9^5 = 59049 box points, inside the list limit; k = 3 =
+  // mu = 2 in 5-D: 5^5 = 3125 box points, inside the list limit; k = 3 =
   // n - 2.  pi_2 = pi_3 puts (0, 0, 1, -1, 0) in ker [S; pi].
-  const model::IndexSet set(VecI{4, 4, 4, 4, 4});
+  static_assert(3125 <= FixedSpaceContext::kMaxListBox);
+  const model::IndexSet set(VecI{2, 2, 2, 2, 2});
   const MatI space{{1, 0, 0, 0, 0}, {0, 1, 0, 0, 0}};
   const FixedSpaceContext ctx(set, space);
   const VecI pi{1, 2, 3, 3, 1};
@@ -673,9 +702,10 @@ TEST(ListScreen, RejectLeavesTheCacheUntouched) {
 }
 
 TEST(ListScreen, BoxAboveTheLimitTakesTheKernelPath) {
-  // mu = 5 in 5-D: 11^5 = 161051 box points, past the list limit, so the
+  // mu = 4 in 5-D: 9^5 = 59049 box points, past the list limit, so the
   // same reject goes through the kernel block and the cache.
-  const model::IndexSet set(VecI{5, 5, 5, 5, 5});
+  static_assert(59049 > FixedSpaceContext::kMaxListBox);
+  const model::IndexSet set(VecI{4, 4, 4, 4, 4});
   const MatI space{{1, 0, 0, 0, 0}, {0, 1, 0, 0, 0}};
   const FixedSpaceContext ctx(set, space);
   const VecI pi{1, 2, 3, 3, 1};

@@ -11,7 +11,7 @@
 //                   persists across spaces (shared verdict cache,
 //                   schedule-orbit objective reuse, per-space contexts),
 //                   the best objective so far truncates hopeless spaces,
-//                   fast packed-image costing
+//                   image-bitset costing
 //   fused_parallel  the same, fanned over the thread pool with the
 //                   deterministic (objective, total, procs, pos) reduction
 // All modes are bit-identical by construction in (found, space, pi,

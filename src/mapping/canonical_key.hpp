@@ -46,7 +46,6 @@ struct ConflictKey {
   enum class Kind : std::uint8_t {
     kConflictRay = 0,    ///< k = n-1: primitive sign-normalized gamma
     kKernelBasis = 1,    ///< k <= n-2: canonicalized u_{k+1..n} block
-    kSpaceOrbit = 2,     ///< cost orbit of a space matrix S over a box
     kScheduleOrbit = 3,  ///< schedule-search orbit of S for a fixed (J, D)
   };
 
@@ -149,7 +148,7 @@ inline std::vector<std::vector<std::size_t>> equal_extent_arrangements(
 
 /// Lexicographic minimum, over the given column arrangements, of S with
 /// each row sign-normalized (first nonzero entry positive) and rows
-/// sorted -- the shared canonicalization step of the two orbit keys.
+/// sorted -- the canonicalization step of the schedule-orbit key.
 inline std::vector<Int> min_row_canonical_form(
     const MatI& space,
     const std::vector<std::vector<std::size_t>>& arrangements) {
@@ -313,49 +312,6 @@ std::optional<ConflictKey> canonical_kernel_key(const linalg::Matrix<T>& u,
   }
   ConflictKey key;
   canonical_kernel_key_into(cols, count, set, k, oracle_tag, key);
-  return key;
-}
-
-/// Canonical form of the PROCESSOR-COUNT orbit of a space matrix S over
-/// the index box: the key is equal for two candidates exactly when this
-/// routine can prove |{S j : j in J}| = |{S' j : j in J}|.  Three moves
-/// generate the orbit:
-///   1. negating a row r (the image is reflected in coordinate r --
-///      a bijection of image sets);
-///   2. permuting rows (permutes image coordinates -- a bijection);
-///   3. permuting COLUMNS c, c' with equal extents mu_c = mu_c'
-///      ({S P j : j in J} = {S j' : j' in P^{-1} J} = {S j' : j' in J}
-///      because the box is invariant under the axis swap -- the image
-///      SETS are literally equal).
-/// Wire length is invariant under 1-2 but NOT under 3 (the dependence
-/// columns are not permuted), and the conflict verdict of [S; Pi] is not
-/// invariant under 3 either (Pi is not permuted) -- so callers may only
-/// attribute processor counts across a kSpaceOrbit key, never costs or
-/// verdicts.  The canonical form is the lexicographic minimum, over every
-/// equal-mu column permutation, of S with each row sign-normalized
-/// (first nonzero positive) and rows sorted; when the equal-mu groups
-/// admit more than `max_arrangements` permutations only the identity
-/// arrangement is tried (still canonical in moves 1-2, just a coarser
-/// orbit -- soundness never depends on hitting the full orbit).
-inline ConflictKey canonical_space_orbit_key(
-    const MatI& space, const model::IndexSet& set,
-    std::size_t max_arrangements = 720) {
-  const std::size_t m = space.rows();
-  const std::size_t n = space.cols();
-
-  const std::vector<std::vector<std::size_t>> arrangements =
-      detail::equal_extent_arrangements(set, n, max_arrangements);
-  const std::vector<Int> best =
-      detail::min_row_canonical_form(space, arrangements);
-
-  ConflictKey key;
-  key.kind = ConflictKey::Kind::kSpaceOrbit;
-  key.oracle_tag = 0;
-  key.n = static_cast<std::uint32_t>(n);
-  key.k = static_cast<std::uint32_t>(m);
-  key.payload.reserve(set.dimension() + best.size());
-  detail::append_extents(set, key.payload);
-  key.payload.insert(key.payload.end(), best.begin(), best.end());
   return key;
 }
 

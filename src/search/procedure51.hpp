@@ -28,7 +28,13 @@ class FixedSpaceContext;
 
 /// Which conflict oracle Step 5(3) uses.
 enum class ConflictOracle {
-  kPaperTheorems,  ///< Theorems 3.1/4.7/4.8/4.5 exactly as published
+  /// Theorems 3.1/4.7/4.8/4.5 exactly as published.  At k <= n-3 its
+  /// answers are NOT certified: the published Theorem 4.8 accepts some
+  /// conflicting T (docs/THEORY.md), so Procedure 5.1 under this oracle
+  /// can return a conflicting Pi as optimal -- e.g. Pi = (3, 9, 9, 1) for
+  /// unit_cube_algorithm(4, 2) with S empty, where kExact finds
+  /// (1, 3, 9, 27) (tests/search_test.cpp pins both).
+  kPaperTheorems,
   kExact,          ///< library-exact dispatcher (validated witnesses)
   kBruteForce,     ///< full index-set scan (baseline; small J only)
 };

@@ -11,13 +11,12 @@
 #include "exact/checked.hpp"
 #include "lattice/kernel.hpp"
 #include "linalg/ops.hpp"
-#include "mapping/canonical_key.hpp"
 #include "obs/obs.hpp"
 #include "search/fixed_space.hpp"
 #include "search/pipeline.hpp"
-#include "support/thread_pool.hpp"
 #include "search/verdict_cache.hpp"
-#include "support/flat_image_set.hpp"
+#include "support/packed_coord.hpp"
+#include "support/thread_pool.hpp"
 
 namespace sysmap::search {
 
@@ -25,9 +24,6 @@ namespace {
 
 constexpr Int kNoIncumbent = std::numeric_limits<Int>::max();
 constexpr std::size_t kChunk = 16;
-/// Below this many index points the kernel-lattice injectivity test costs
-/// more than the packed walk it would replace.
-constexpr std::uint64_t kInjectivityMinPoints = 4096;
 
 // All candidate rows: nonzero vectors in [-max_entry, max_entry]^n with
 // positive first nonzero entry (a row and its negation give mirrored
@@ -205,154 +201,13 @@ bool exceeds_strictly(Int a, Int b, Int bound) {
   return sum > bound;
 }
 
-// std::set reference walk (the seed's processor counter).
+// std::set reference walk (the seed's processor counter): the test oracle,
+// and the count past the image bitset's bound.
 Int count_images_generic(const model::IndexSet& set, const MatI& space) {
   std::set<VecI> images;
   set.for_each([&](const VecI& j) { images.insert(space * j); });
   return static_cast<Int>(images.size());
 }
-
-// SYSMAP_RAW_FASTPATH(bounded: all image-key arithmetic is uint64 modulo
-// 2^64 by design -- the packed keys are exact values below
-// packing.product, so wrapping sums of packed deltas land on the exact
-// packed key; see support/flat_image_set.hpp for the argument)
-//
-// Incremental packed-image walk: odometer over the box in axis order,
-// where stepping axis i adds column i of S to the image point -- and,
-// because packing is linear, adds ONE precomputed uint64 delta to the
-// packed key.  No mat-vec, no image vector, no per-point allocation.
-// Returns the exact count, or -1 when `exit_above >= 0` and the running
-// count exceeded it (the caller's incumbent bound proves the candidate
-// strictly loses, so the exact value is irrelevant).
-Int count_images_packed(const model::IndexSet& set, const MatI& space,
-                        const support::ImagePacking& packing,
-                        support::FlatImageSet& images, Int exit_above) {
-  const std::size_t n = set.dimension();
-  const std::size_t m = space.rows();
-  images.clear();
-  std::vector<std::uint64_t> step(n, 0);
-  std::vector<std::uint64_t> back(n, 0);
-  VecI col(m, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t r = 0; r < m; ++r) col[r] = space(r, i);
-    step[i] = packing.pack_delta(col);
-    // Carrying axis i from mu_i back to 0 subtracts mu_i steps (wrapping).
-    back[i] = std::uint64_t{0} -
-              static_cast<std::uint64_t>(set.mu(i)) * step[i];
-  }
-  const VecI origin(m, 0);  // image of j = 0
-  std::uint64_t key = packing.pack(origin);
-  images.insert(key);
-  Int count = 1;
-  if (exit_above >= 0 && count > exit_above) return -1;
-  VecI v(n, 0);
-  for (;;) {
-    std::size_t i = 0;
-    while (i < n && v[i] == set.mu(i)) {
-      key += back[i];
-      v[i] = 0;
-      ++i;
-    }
-    if (i == n) break;
-    ++v[i];
-    key += step[i];
-    if (images.insert(key)) {
-      ++count;
-      if (exit_above >= 0 && count > exit_above) return -1;
-    }
-  }
-  return count;
-}
-
-// True when S is injective on the box, i.e. no nonzero integer kernel
-// vector of S lies in the difference box [-mu, mu]^n -- then the image
-// count is |J| with no enumeration at all.  False means "not proven"
-// (genuinely non-injective, kernel machinery unavailable, or over its
-// enumeration budget); callers fall back to the walk either way, so this
-// is a pure shortcut with no correctness weight.
-bool injective_on_box(const model::IndexSet& set, const MatI& space) {
-  const std::size_t n = set.dimension();
-  if (space.rows() >= n) return true;  // square full-rank candidate
-  MatZ kernel;
-  try {
-    kernel = lattice::kernel_basis(space);
-  } catch (const std::exception&) {
-    return false;
-  }
-  // A basis column already inside the difference box certifies
-  // NON-injectivity without any enumeration.
-  for (std::size_t c = 0; c < kernel.cols(); ++c) {
-    bool inside = true;
-    for (std::size_t r = 0; r < n && inside; ++r) {
-      if (kernel(r, c).abs() > exact::BigInt(set.mu(r))) inside = false;
-    }
-    if (inside) return false;
-  }
-  return mapping::decide_conflict_free_over_basis(kernel, set)
-      .conflict_free();
-}
-
-// Advisory per-worker statistics (summed after the join; deterministic in
-// the serial sweep, interleaving-dependent in the parallel one -- both
-// excluded from the bit-identical contract).
-struct SweepStats {
-  std::uint64_t orbit_hits = 0;
-  std::uint64_t bnb_pruned = 0;
-  std::uint64_t walks_early_exited = 0;
-  std::uint64_t injective_shortcuts = 0;
-};
-
-// Per-worker processor-count evaluator: orbit-cache lookup, injectivity
-// shortcut, packed incremental walk (one reused flat table), std::set
-// fallback.  Every path computes the same exact count; only speed and the
-// advisory stats differ.
-class ProcessorCounter {
- public:
-  ProcessorCounter(const model::IndexSet& set, std::uint64_t points,
-                   bool points_known, ImageCountCache& counts)
-      : set_(&set),
-        points_(points),
-        points_known_(points_known),
-        counts_(&counts),
-        images_(points_known ? static_cast<std::size_t>(
-                                   std::min<std::uint64_t>(points, 1u << 20))
-                             : 64) {}
-
-  /// Exact |{S j}|, or nullopt when `exit_above >= 0` and the walk proved
-  /// count > exit_above (candidate strictly loses).
-  std::optional<Int> count(const MatI& space, Int exit_above,
-                           SweepStats& stats) {
-    const mapping::ConflictKey orbit_key =
-        mapping::canonical_space_orbit_key(space, *set_);
-    if (std::optional<Int> hit = counts_->lookup(orbit_key)) {
-      ++stats.orbit_hits;
-      return *hit;
-    }
-    Int exact_count = -1;
-    const std::optional<support::ImagePacking> packing =
-        support::ImagePacking::build(space, *set_);
-    if (!packing) {
-      exact_count = count_images_generic(*set_, space);
-    } else if (points_known_ && points_ >= kInjectivityMinPoints &&
-               packing->product >= points_ && injective_on_box(*set_, space)) {
-      ++stats.injective_shortcuts;
-      exact_count = static_cast<Int>(points_);
-    } else {
-      exact_count =
-          count_images_packed(*set_, space, *packing, images_, exit_above);
-      if (exact_count < 0) return std::nullopt;  // early exit: loses
-    }
-    counts_->insert(orbit_key, exact_count);
-    return exact_count;
-  }
-
- private:
-  const model::IndexSet* set_;
-  std::uint64_t points_;
-  bool points_known_;
-  ImageCountCache* counts_;
-  support::FlatImageSet images_;
-};
 
 void atomic_fetch_min(std::atomic<Int>& target, Int value) {
   Int cur = target.load(std::memory_order_relaxed);
@@ -411,7 +266,6 @@ struct LocalBest {
   MatI space;
   ArrayCost cost;
   mapping::ConflictVerdict verdict;
-  SweepStats stats;
 
   bool better_than(const LocalBest& other) const {
     if (total != other.total) return total < other.total;
@@ -502,11 +356,11 @@ ArrayCost evaluate_array_cost(const model::UniformDependenceAlgorithm& algo,
 }
 
 Int count_processor_images(const model::IndexSet& set, const MatI& space) {
-  const std::optional<support::ImagePacking> packing =
-      support::ImagePacking::build(space, set);
-  if (!packing) return count_images_generic(set, space);
-  support::FlatImageSet images(64);
-  return count_images_packed(set, space, *packing, images, /*exit_above=*/-1);
+  if (const std::optional<support::ImageBitset> image =
+          support::ImageBitset::build(space, set.bounds())) {
+    return static_cast<Int>(image->count());
+  }
+  return count_images_generic(set, space);
 }
 
 // ---- Problem 6.1: seed engine (parity oracle) ------------------------------
@@ -571,7 +425,6 @@ SpaceSearchResult space_optimal_mapping(
   const std::size_t n = algo.dimension();
   validate_problem61_inputs(algo, pi, options);
   const model::IndexSet& set = algo.index_set();
-  const std::uint64_t points = set.size_u64();  // fits: budget-checked
 
   VerdictCache* cache = options.verdict_cache;
   std::uint64_t cache_hits0 = 0;
@@ -582,16 +435,16 @@ SpaceSearchResult space_optimal_mapping(
     cache_misses0 = s.misses;
   }
 
-  ImageCountCache counts;
   SpaceFeed feed(n, options);
   std::atomic<Int> best_total{kNoIncumbent};
   const std::size_t workers =
       options.num_threads <= 1 ? 1 : options.num_threads;
   std::vector<LocalBest> locals(workers);
+  std::vector<std::uint64_t> pruned(workers, 0);
 
   auto body = [&](std::size_t w) {
     LocalBest& local = locals[w];
-    ProcessorCounter counter(set, points, /*points_known=*/true, counts);
+    std::uint64_t local_pruned = 0;
     SpaceChunk chunk;
     while (feed.draw(kChunk, chunk)) {
       for (std::size_t i = 0; i < chunk.len; ++i) {
@@ -599,8 +452,8 @@ SpaceSearchResult space_optimal_mapping(
         const std::uint64_t pos = chunk.base + i;
         const Int wire = wire_length_sum(space, algo.dependence_matrix());
 
-        // Branch-and-bound gate 1: wire plus a per-row processor lower
-        // bound already beats the incumbent STRICTLY (never on ties, so
+        // Branch-and-bound: wire plus a per-row processor lower bound
+        // already beats the incumbent STRICTLY (never on ties, so
         // the fewer-processors tie-break survives).  The bound only ever
         // holds totals of fully verified candidates, so a pruned
         // candidate can never be the lexicographic winner.
@@ -608,7 +461,7 @@ SpaceSearchResult space_optimal_mapping(
         if (bound != kNoIncumbent &&
             exceeds_strictly(wire, processor_lower_bound(space, set),
                              bound)) {
-          ++local.stats.bnb_pruned;
+          ++local_pruned;
           continue;
         }
 
@@ -627,22 +480,8 @@ SpaceSearchResult space_optimal_mapping(
           if (!verdict.conflict_free()) continue;
         }
 
-        // Branch-and-bound gate 2: cut the image walk once the running
-        // distinct-image count alone loses strictly.
-        Int exit_above = -1;
-        const Int incumbent = best_total.load(std::memory_order_relaxed);
-        if (incumbent != kNoIncumbent) {
-          exit_above =
-              incumbent >= wire ? exact::sub_checked(incumbent, wire) : Int{0};
-        }
-        const std::optional<Int> procs =
-            counter.count(space, exit_above, local.stats);
-        if (!procs) {
-          ++local.stats.walks_early_exited;
-          continue;
-        }
         ArrayCost cost;
-        cost.processors = *procs;
+        cost.processors = count_processor_images(set, space);
         cost.wire_length = wire;
         const Int total = exact::add_checked(cost.processors,
                                              cost.wire_length);
@@ -655,11 +494,11 @@ SpaceSearchResult space_optimal_mapping(
         candidate.cost = cost;
         candidate.verdict = std::move(verdict);
         if (!local.found || candidate.better_than(local)) {
-          candidate.stats = local.stats;
           local = std::move(candidate);
         }
       }
     }
+    pruned[w] = local_pruned;
   };
 
   if (workers == 1) {
@@ -671,12 +510,9 @@ SpaceSearchResult space_optimal_mapping(
 
   SpaceSearchResult best;
   best.candidates_tested = feed.produced();
+  for (std::uint64_t p : pruned) best.bnb_pruned += p;
   const LocalBest* winner = nullptr;
   for (const LocalBest& local : locals) {
-    best.orbit_hits += local.stats.orbit_hits;
-    best.bnb_pruned += local.stats.bnb_pruned;
-    best.walks_early_exited += local.stats.walks_early_exited;
-    best.injective_shortcuts += local.stats.injective_shortcuts;
     if (!local.found) continue;
     if (winner == nullptr || local.better_than(*winner)) winner = &local;
   }
@@ -758,15 +594,7 @@ DesignSpaceResult explore_design_space(
   SYSMAP_SPAN("search.space.explore_design_space");
   const std::size_t n = algo.dimension();
   const model::IndexSet& set = algo.index_set();
-  std::uint64_t points_count = 0;
-  bool points_known = true;
-  try {
-    points_count = set.size_u64();
-  } catch (const exact::OverflowError&) {
-    points_known = false;  // disables the injectivity compare only
-  }
 
-  ImageCountCache counts;
   SpaceFeed feed(n, options);
   const std::size_t workers =
       options.num_threads <= 1 ? 1 : options.num_threads;
@@ -785,7 +613,6 @@ DesignSpaceResult explore_design_space(
       workers);
 
   auto body = [&](std::size_t w) {
-    ProcessorCounter counter(set, points_count, points_known, counts);
     SpaceChunk chunk;
     while (feed.draw(kChunk, chunk)) {
       for (std::size_t i = 0; i < chunk.len; ++i) {
@@ -797,13 +624,11 @@ DesignSpaceResult explore_design_space(
           continue;  // defensive: skip degenerate candidates
         }
         if (!solution.found) continue;
-        SweepStats scratch;
         DesignPoint point;
         point.space = space;
         point.pi = solution.pi;
         point.makespan = solution.makespan;
-        point.cost.processors =
-            *counter.count(space, /*exit_above=*/-1, scratch);
+        point.cost.processors = count_processor_images(set, space);
         point.cost.wire_length =
             wire_length_sum(space, algo.dependence_matrix());
         accepted[w].emplace_back(chunk.base + i, std::move(point));
@@ -934,15 +759,7 @@ JointMappingResult joint_time_optimal_mapping(
   SYSMAP_SPAN("search.space.joint_time_optimal_mapping");
   const std::size_t n = algo.dimension();
   const model::IndexSet& set = algo.index_set();
-  std::uint64_t points_count = 0;
-  bool points_known = true;
-  try {
-    points_count = set.size_u64();
-  } catch (const exact::OverflowError&) {
-    points_known = false;  // disables the injectivity compare only
-  }
 
-  ImageCountCache counts;
   SpaceFeed feed(n, options);
   PipelineOptions fused_options;
   fused_options.design_array = false;
@@ -964,9 +781,7 @@ JointMappingResult joint_time_optimal_mapping(
 
   auto body = [&](std::size_t w) {
     LocalJointBest& local = locals[w];
-    ProcessorCounter counter(set, points_count, points_known, counts);
     SpaceChunk chunk;
-    SweepStats scratch;
     while (feed.draw(kChunk, chunk)) {
       for (std::size_t i = 0; i < chunk.len; ++i) {
         const MatI& space = chunk.spaces[i];
@@ -993,8 +808,7 @@ JointMappingResult joint_time_optimal_mapping(
         candidate.pi = std::move(solution.pi);
         candidate.makespan = solution.makespan;
         candidate.verdict = std::move(solution.verdict);
-        candidate.cost.processors =
-            *counter.count(space, /*exit_above=*/-1, scratch);
+        candidate.cost.processors = count_processor_images(set, space);
         candidate.cost.wire_length =
             wire_length_sum(space, algo.dependence_matrix());
         candidate.total = exact::add_checked(candidate.cost.processors,

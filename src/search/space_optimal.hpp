@@ -17,10 +17,9 @@
 // row positive (projective dedup), rows pairwise non-parallel.
 //
 // ENGINES.  space_optimal_mapping / explore_design_space run the fast
-// engine: lazy candidate enumeration (SpaceEnumerator), incremental
-// packed-image counting (support/flat_image_set.hpp), a closed-form
-// injectivity shortcut via the kernel lattice, orbit-canonical processor
-// count reuse (mapping::canonical_space_orbit_key), wire-first
+// engine: lazy candidate enumeration (SpaceEnumerator), processor counts
+// from the Minkowski-sum image bitset (support::ImageBitset in
+// support/packed_coord.hpp; the std::set walk past its bound), wire-first
 // branch-and-bound pruning and an optional deterministic parallel sweep.
 // These are always on: each was measured against the seed (BENCH_space.json)
 // and none changes an answer.  space_optimal_mapping_seed /
@@ -29,8 +28,8 @@
 // candidates_tested) respectively (pareto, spaces_tested, feasible_spaces)
 // for every thread count and verdict-cache setting --
 // tests/space_search_test.cpp holds the pair equal case by case.  Only the
-// advisory counters (cache/orbit/prune stats) may differ between engines
-// and interleavings.
+// advisory counters (cache/prune stats) may differ between engines and
+// interleavings.
 #pragma once
 
 #include <cstdint>
@@ -69,8 +68,8 @@ struct SpaceSearchOptions {
 struct ArrayCost {
   Int processors = 0;
   Int wire_length = 0;
-  // SYSMAP_RAW_FASTPATH(bounded: both terms are counts accumulated over one
-  // candidate's image walk, orders of magnitude below the 63-bit line)
+  // SYSMAP_RAW_FASTPATH(bounded: both terms are one candidate's image
+  // count and wire sum, orders of magnitude below the 63-bit line)
   Int total() const { return processors + wire_length; }
 };
 
@@ -84,15 +83,10 @@ struct SpaceSearchResult {
   /// zero when no cache was supplied.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Advisory fast-engine statistics, EXCLUDED from the bit-identical
-  /// contract (they depend on parallel interleaving):
-  /// processor counts served by the orbit cache, candidates skipped by the
-  /// wire+lower-bound prune, image walks cut short by the incumbent bound,
-  /// and processor counts decided by the closed-form injectivity test.
-  std::uint64_t orbit_hits = 0;
+  /// Advisory fast-engine statistic, EXCLUDED from the bit-identical
+  /// contract (it depends on parallel interleaving): candidates skipped by
+  /// the wire+lower-bound prune.
   std::uint64_t bnb_pruned = 0;
-  std::uint64_t walks_early_exited = 0;
-  std::uint64_t injective_shortcuts = 0;
 };
 
 /// Problem 6.1: best S for a fixed Pi.  Minimizes processors + wire among
@@ -185,14 +179,15 @@ inline DesignSpaceResult pareto_front(
 }
 
 /// Exact array cost of a given S on J (exposed for tests and benches).
-/// std::set reference walk -- the oracle the incremental counter is
-/// tested against.
+/// std::set reference walk -- the oracle the image bitset is tested
+/// against.
 ArrayCost evaluate_array_cost(const model::UniformDependenceAlgorithm& algo,
                               const MatI& space);
 
-/// Exact |{S j : j in J}| via the incremental packed-image walk (falls
-/// back to the reference walk when the image box does not pack into
-/// uint64).  Exposed for the randomized oracle test and the bench.
+/// Exact |{S j : j in J}| via the Minkowski-sum image bitset (falls back
+/// to the reference walk when the image box does not pack into uint64 or
+/// exceeds support::ImageBitset::kMaxBits).  Exposed for the randomized
+/// oracle test and the bench.
 Int count_processor_images(const model::IndexSet& set, const MatI& space);
 
 /// Lazy resumable enumerator over candidate space matrices, in the exact

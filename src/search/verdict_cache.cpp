@@ -23,19 +23,19 @@ struct ShardMetrics {
   obs::MetricId admissions = obs::kInvalidMetric;
 };
 
-ShardMetrics intern_shard_metrics(const char* cache, std::size_t shard) {
+ShardMetrics intern_shard_metrics(std::size_t shard) {
   ShardMetrics ids;
   if constexpr (obs::kEnabled) {
     char name[96];
     const std::size_t label = shard % kShardLabels;
-    std::snprintf(name, sizeof(name), "search.%s.shard%02zu.hits", cache,
+    std::snprintf(name, sizeof(name), "search.verdict_cache.shard%02zu.hits",
                   label);
     ids.hits = obs::intern(name, obs::Kind::kCounter);
-    std::snprintf(name, sizeof(name), "search.%s.shard%02zu.misses", cache,
-                  label);
+    std::snprintf(name, sizeof(name),
+                  "search.verdict_cache.shard%02zu.misses", label);
     ids.misses = obs::intern(name, obs::Kind::kCounter);
-    std::snprintf(name, sizeof(name), "search.%s.shard%02zu.admissions",
-                  cache, label);
+    std::snprintf(name, sizeof(name),
+                  "search.verdict_cache.shard%02zu.admissions", label);
     ids.admissions = obs::intern(name, obs::Kind::kCounter);
   }
   return ids;
@@ -72,10 +72,6 @@ struct PrehashedEqual {
   }
 };
 
-template <typename V>
-using PrehashedMap =
-    std::unordered_map<HashedKey, V, PrehashedHash, PrehashedEqual>;
-
 /// Shard index from a key hash.  The FNV mix already avalanches; fold the
 /// high bits in so shard choice is not just the hash-table bucket bits
 /// again.
@@ -87,7 +83,7 @@ std::size_t shard_index(std::size_t h, std::size_t shard_count) noexcept {
 
 struct VerdictCache::Shard {
   mutable std::mutex mu;
-  PrehashedMap<Outcome> map;
+  std::unordered_map<HashedKey, Outcome, PrehashedHash, PrehashedEqual> map;
   ShardMetrics metrics;
 };
 
@@ -96,7 +92,7 @@ VerdictCache::VerdictCache(std::size_t shard_count)
       shards_(new Shard[shard_count == 0 ? 1 : shard_count]) {
   if constexpr (obs::kEnabled) {
     for (std::size_t s = 0; s < shard_count_; ++s) {
-      shards_[s].metrics = intern_shard_metrics("verdict_cache", s);
+      shards_[s].metrics = intern_shard_metrics(s);
     }
   }
 }
@@ -140,10 +136,7 @@ VerdictCache::Stats VerdictCache::stats() const {
   out.hits = hits_.load(std::memory_order_relaxed);
   out.misses = misses_.load(std::memory_order_relaxed);
   out.insertions = insertions_.load(std::memory_order_relaxed);
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s].mu);
-    out.entries += shards_[s].map.size();
-  }
+  out.entries = out.insertions;
   return out;
 }
 
@@ -155,62 +148,6 @@ void VerdictCache::clear() {
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
   insertions_.store(0, std::memory_order_relaxed);
-}
-
-struct ImageCountCache::Shard {
-  mutable std::mutex mu;
-  PrehashedMap<Int> map;
-  ShardMetrics metrics;
-};
-
-ImageCountCache::ImageCountCache(std::size_t shard_count)
-    : shard_count_(shard_count == 0 ? 1 : shard_count),
-      shards_(new Shard[shard_count == 0 ? 1 : shard_count]) {
-  if constexpr (obs::kEnabled) {
-    for (std::size_t s = 0; s < shard_count_; ++s) {
-      shards_[s].metrics = intern_shard_metrics("image_count_cache", s);
-    }
-  }
-}
-
-ImageCountCache::~ImageCountCache() = default;
-
-std::optional<Int> ImageCountCache::lookup(
-    const mapping::ConflictKey& key) const {
-  const std::size_t h = key.hash();
-  Shard& shard = shards_[shard_index(h, shard_count_)];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(HashedKeyRef{key, h});
-    if (it != shard.map.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      obs::add(shard.metrics.hits, 1);
-      return it->second;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  obs::add(shard.metrics.misses, 1);
-  return std::nullopt;
-}
-
-void ImageCountCache::insert(const mapping::ConflictKey& key, Int count) {
-  const std::size_t h = key.hash();
-  Shard& shard = shards_[shard_index(h, shard_count_)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.emplace(HashedKey{key, h}, count).second) {
-    obs::add(shard.metrics.admissions, 1);
-  }
-}
-
-ImageCountCache::Stats ImageCountCache::stats() const {
-  Stats out;
-  out.hits = hits_.load(std::memory_order_relaxed);
-  out.misses = misses_.load(std::memory_order_relaxed);
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s].mu);
-    out.entries += shards_[s].map.size();
-  }
-  return out;
 }
 
 }  // namespace sysmap::search

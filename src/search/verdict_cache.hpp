@@ -77,7 +77,10 @@ class VerdictCache {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;  ///< inserts that created an entry
-    std::uint64_t entries = 0;     ///< live entries across all shards
+    /// Live entries across all shards.  Only an entry-creating insert
+    /// bumps `insertions` and clear() resets it with the maps, so the two
+    /// are equal; read without taking any shard lock.
+    std::uint64_t entries = 0;
   };
 
   explicit VerdictCache(std::size_t shard_count = 16);
@@ -106,45 +109,6 @@ class VerdictCache {
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> insertions_{0};
-};
-
-/// Sharded memo of exact processor counts keyed by the cost-orbit
-/// canonical form of S (mapping::canonical_space_orbit_key).  Every
-/// writer for a given key computes the same exact count (the key proves
-/// the counts equal), so insertion is idempotent and a hit is
-/// bit-identical to recounting -- which is why the space sweep's results
-/// never depend on hit/miss interleaving.  Counters are relaxed atomics,
-/// excluded from the result contract exactly like VerdictCache's.
-class ImageCountCache {
- public:
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t entries = 0;
-  };
-
-  explicit ImageCountCache(std::size_t shard_count = 16);
-  ~ImageCountCache();
-
-  ImageCountCache(const ImageCountCache&) = delete;
-  ImageCountCache& operator=(const ImageCountCache&) = delete;
-
-  /// Returns the memoized count and bumps the hit counter, or nullopt and
-  /// bumps the miss counter.
-  std::optional<Int> lookup(const mapping::ConflictKey& key) const;
-
-  /// Memoizes an exact count; first writer wins.
-  void insert(const mapping::ConflictKey& key, Int count);
-
-  Stats stats() const;
-
- private:
-  struct Shard;
-
-  std::size_t shard_count_;
-  std::unique_ptr<Shard[]> shards_;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
 };
 
 }  // namespace sysmap::search

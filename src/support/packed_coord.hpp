@@ -1,26 +1,24 @@
 // Mixed-radix uint64 packing of integer coordinate boxes, plus the flat
-// open-addressing tables built on top of it.
+// tables built on top of it.
 //
-// Several engines in this library need to key hash tables by small integer
+// Several engines in this library need to key tables by small integer
 // vectors: image points S j of an index set (the Problem 6.1/6.2 processor
-// counts), PE coordinates of a mapped computation, or composite
-// (PE, primitive, dependence, cycle) wire identities in the systolic
-// simulator.  All of those vectors live in a known box
-// [lo_0, hi_0] x ... x [lo_{r-1}, hi_{r-1}]; whenever the box volume fits
-// in uint64 every point packs into ONE machine word:
+// counts and the processor list of a designed array), PE coordinates of a
+// mapped computation, or composite (PE, primitive, dependence, cycle) wire
+// identities in the systolic simulator.  All of those vectors live in a
+// known box [lo_0, hi_0] x ... x [lo_{r-1}, hi_{r-1}]; whenever the box
+// volume fits in uint64 every point packs into ONE machine word:
 //   key(y) = sum_r (y_r - lo_r) * stride_r,
 //   stride_r = prod_{r'<r} (hi_{r'} - lo_{r'} + 1).
-// The packing is LINEAR in y, so incremental walks (y' = y + delta) update
-// a packed key with a single wrapping uint64 add and never materialize y.
-// Builders return nullopt when a bound or the radix product leaves uint64
-// range; callers then fall back to tree-map/set storage of un-packed
-// vectors (and the tests hold the two paths equal).
-//
-// This header was extracted from support/flat_image_set.hpp when the
-// systolic execution engine started packing PE and wire coordinates; the
-// image-set specific open-addressing set stayed behind.
+// The packing is LINEAR in y, so a step y' = y + delta moves a packed key
+// by one precomputed offset and never materializes y.  Builders return
+// nullopt when a bound or the radix product leaves uint64 range; callers
+// then fall back to tree-map/set storage of un-packed vectors (and the
+// tests hold the two paths equal).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -29,11 +27,10 @@
 #include "exact/checked.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/types.hpp"
-#include "model/index_set.hpp"
 
 namespace sysmap::support {
 
-/// Mixed-radix packing of the image box of S over an index set (or of any
+/// Mixed-radix packing of the image box of S over an index box (or of any
 /// explicitly bounded coordinate box).  Builders return nullopt when a
 /// bound or the radix product leaves uint64 range; callers then fall back
 /// to counting un-packed image vectors.
@@ -86,21 +83,21 @@ struct ImagePacking {
     }
   }
 
-  /// Builds the packing for `space` over `set`: per-row image bounds from
-  /// the signed parts of each row, checked arithmetic throughout.  Returns
-  /// nullopt when any bound or the radix product does not fit.
-  static std::optional<ImagePacking> build(const MatI& space,
-                                           const model::IndexSet& set) {
+  /// Builds the packing of the image of the box prod_i [0, mu_i] under
+  /// `space`: per-row image bounds from the signed parts of each row,
+  /// checked arithmetic throughout.  Returns nullopt when any bound or the
+  /// radix product does not fit.
+  static std::optional<ImagePacking> build(const MatI& space, const VecI& mu) {
     const std::size_t m = space.rows();
     const std::size_t n = space.cols();
-    if (n != set.dimension()) return std::nullopt;
+    if (n != mu.size()) return std::nullopt;
     VecI lo(m, 0);
     VecI hi(m, 0);
     try {
       for (std::size_t r = 0; r < m; ++r) {
         for (std::size_t j = 0; j < n; ++j) {
           const Int s = space(r, j);
-          const Int term = exact::mul_checked(s, set.mu(j));
+          const Int term = exact::mul_checked(s, mu[j]);
           if (s < 0) {
             lo[r] = exact::add_checked(lo[r], term);
           } else if (s > 0) {
@@ -147,6 +144,112 @@ struct ImagePacking {
     }
     return p;
   }
+};
+
+/// The image {S j : 0 <= j <= mu} of a box, as a bitset over the packed
+/// image box of S.  The image is the Minkowski sum of the n segments
+/// {0, s_i, 2 s_i, ..., mu_i s_i} (s_i = column i of S), so it is built
+/// without visiting the box: set the origin's bit, then per axis OR in
+/// copies of the bitset shifted by t * pack_delta(s_i) for t = 0..mu_i --
+/// by doubling, ceil(log2(mu_i + 1)) shift-ORs.  Every intermediate set is
+/// the image of a sub-box, so it stays inside the image box, where packing
+/// is linear: each shift is exact and no bit leaves [0, product).
+class ImageBitset {
+ public:
+  /// Largest image box the bitset covers (2^26 bits = 8 MiB).  Past it,
+  /// or when the image box does not pack, build() declines and callers
+  /// walk the box into a std::set instead.
+  static constexpr std::uint64_t kMaxBits = std::uint64_t{1} << 26;
+
+  /// Builds the image of prod_i [0, mu_i] (every mu_i >= 0) under
+  /// `space`, or nullopt when the image box does not pack or exceeds
+  /// kMaxBits.
+  static std::optional<ImageBitset> build(const MatI& space, const VecI& mu) {
+    std::optional<ImagePacking> packing = ImagePacking::build(space, mu);
+    if (!packing || packing->product > kMaxBits) return std::nullopt;
+    ImageBitset image;
+    image.packing_ = std::move(*packing);
+    image.words_.assign((image.packing_.product + 63) / 64, 0);
+    const std::uint64_t origin = image.packing_.pack(VecI(space.rows(), 0));
+    image.words_[origin / 64] |= std::uint64_t{1} << (origin % 64);
+    VecI column(space.rows(), 0);
+    for (std::size_t i = 0; i < space.cols(); ++i) {
+      if (mu[i] == 0) continue;
+      for (std::size_t r = 0; r < space.rows(); ++r) column[r] = space(r, i);
+      image.add_segment(image.packing_.pack_delta(column),
+                        static_cast<std::uint64_t>(mu[i]));
+    }
+    return image;
+  }
+
+  /// |{S j}|.
+  std::uint64_t count() const noexcept {
+    std::uint64_t total = 0;
+    for (std::uint64_t word : words_) total += std::popcount(word);
+    return total;
+  }
+
+  /// Visits every image point once, in packed-key order.  The visited
+  /// vector is reused between calls; copy it if you keep it.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    VecI y;
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        packing_.unpack(w * 64 + static_cast<unsigned>(std::countr_zero(bits)),
+                        y);
+        visit(y);
+      }
+    }
+  }
+
+ private:
+  /// Replaces the set A by A + {0, d, ..., mu d}, where `step` is the
+  /// wrapping packed offset of d.  Precondition: mu >= 1.
+  void add_segment(std::uint64_t step, std::uint64_t mu) {
+    // SYSMAP_RAW_FASTPATH(bounded: for t <= mu the image point t d of the
+    // origin lies in the image box, so the exact signed offset t * step
+    // is a difference of two packed keys below product <= kMaxBits = 2^26;
+    // reading the wrapping u64 step as int64 recovers it exactly and t *
+    // step never nears the 63-bit line)
+    const auto offset = static_cast<std::int64_t>(step);
+    if (offset == 0) return;  // d = 0: the set is unchanged
+    // The bitset holds A + {0, ..., (covered - 1) d}; each pass doubles it.
+    for (std::uint64_t covered = 1; covered <= mu;) {
+      const std::uint64_t t = std::min(covered, mu + 1 - covered);
+      or_shifted(offset * static_cast<std::int64_t>(t));
+      covered += t;
+    }
+  }
+
+  /// words |= words shifted by `shift` bit positions (toward higher keys
+  /// when positive).  In place: each pass reads only words it has not yet
+  /// written.
+  void or_shifted(std::int64_t shift) {
+    const std::size_t size = words_.size();
+    const std::uint64_t mag = shift > 0 ? static_cast<std::uint64_t>(shift)
+                                        : std::uint64_t{0} -
+                                              static_cast<std::uint64_t>(shift);
+    const std::size_t q = static_cast<std::size_t>(mag / 64);
+    const unsigned b = static_cast<unsigned>(mag % 64);
+    if (q >= size) return;
+    if (shift > 0) {
+      for (std::size_t w = size; w-- > q;) {
+        std::uint64_t moved = words_[w - q] << b;
+        if (b != 0 && w > q) moved |= words_[w - q - 1] >> (64 - b);
+        words_[w] |= moved;
+      }
+    } else {
+      for (std::size_t w = 0; w + q < size; ++w) {
+        std::uint64_t moved = words_[w + q] >> b;
+        if (b != 0 && w + q + 1 < size) moved |= words_[w + q + 1] << (64 - b);
+        words_[w] |= moved;
+      }
+    }
+  }
+
+  ImagePacking packing_;
+  std::vector<std::uint64_t> words_;
 };
 
 /// Open-addressing hash map from uint64 keys to a 32-bit payload (linear

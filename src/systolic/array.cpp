@@ -1,18 +1,28 @@
 #include "systolic/array.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "exact/checked.hpp"
 #include "schedule/linear_schedule.hpp"
+#include "support/packed_coord.hpp"
 
 namespace sysmap::systolic {
 
 namespace {
 
+// The processor set {S j : j in J}: listed from the Minkowski-sum image
+// bitset in its image box, so the cost follows the array, not |J|; past the
+// bitset's bound, one std::set insert per index point.
 std::set<VecI> collect_processors(const model::UniformDependenceAlgorithm& algo,
                                   const mapping::MappingMatrix& t) {
   std::set<VecI> processors;
+  if (const std::optional<support::ImageBitset> image =
+          support::ImageBitset::build(t.space(), algo.index_set().bounds())) {
+    image->for_each([&](const VecI& y) { processors.insert(y); });
+    return processors;
+  }
   algo.index_set().for_each(
       [&](const VecI& j) { processors.insert(t.processor(j)); });
   return processors;

@@ -54,6 +54,16 @@ TEST(CliTest, OptimizeModeSolvesMatmul) {
   EXPECT_NE(r.output.find("t = 25"), std::string::npos) << r.output;
 }
 
+TEST(CliTest, LargeBoxDesignCostFollowsTheArray) {
+  // |J| = 1025^3 ~ 1.08e9 index points, but the array has 3 mu + 1 = 3073
+  // processors: listing them must cost the image box, not the index set.
+  // The ctest TIMEOUT (tests/CMakeLists.txt) turns a per-point walk into a
+  // failure.
+  const CliResult r = run_cli("--algo matmul --mu 1024 --space \"1 1 -1\"");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("3073 processors"), std::string::npos) << r.output;
+}
+
 TEST(CliTest, VerifyModeAcceptsPaperMapping) {
   const CliResult r =
       run_cli("--algo matmul --mu 4 --space \"1 1 -1\" --pi \"1 4 1\"");

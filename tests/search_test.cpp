@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "baseline/brute_force.hpp"
 #include "baseline/prior_work.hpp"
 #include "lattice/hnf.hpp"
 #include "linalg/ops.hpp"
@@ -154,6 +155,33 @@ TEST(Example51, PaperTheoremOracleAgrees) {
   ASSERT_TRUE(brute.found);
   EXPECT_EQ(paper.objective, brute.objective);
   EXPECT_EQ(paper.pi, brute.pi);
+}
+
+TEST(PaperTheoremOracle, AcceptsAConflictAtKEqualsNMinus3) {
+  // The published theorems are not certified at k <= n-3: with S empty
+  // (k = 1, n = 4) the Theorem 4.8 dispatch accepts Pi = (3, 9, 9, 1),
+  // although v = (0, 1, -1, 0) lies in the difference box and Pi v = 0.
+  const model::UniformDependenceAlgorithm algo =
+      model::unit_cube_algorithm(4, 2);
+  const MatI no_space(0, 4);
+  SearchOptions opts;
+  opts.oracle = ConflictOracle::kPaperTheorems;
+  const SearchResult paper = procedure_5_1(algo, no_space, opts);
+  ASSERT_TRUE(paper.found);
+  EXPECT_EQ(paper.pi, (VecI{3, 9, 9, 1}));
+  EXPECT_EQ(paper.objective, 44);
+
+  const mapping::MappingMatrix t(no_space, paper.pi);
+  const mapping::ConflictVerdict brute =
+      baseline::brute_force_conflicts(t, algo.index_set());
+  EXPECT_EQ(brute.status, mapping::ConflictVerdict::Status::kHasConflict);
+  EXPECT_EQ(t.matrix() * VecI({0, 1, -1, 0}), VecI({0}));
+
+  opts.oracle = ConflictOracle::kExact;
+  const SearchResult exact = procedure_5_1(algo, no_space, opts);
+  ASSERT_TRUE(exact.found);
+  EXPECT_EQ(exact.pi, (VecI{1, 3, 9, 27}));
+  EXPECT_EQ(exact.objective, 80);
 }
 
 TEST(Example51, FixedInterconnectAddsRoutingCheck) {

@@ -2,25 +2,23 @@
 // (search/space_optimal.cpp): the fast sweep must be BIT-IDENTICAL to the
 // preserved seed engine in (found, space, cost, verdict,
 // candidates_tested) for every thread count and verdict-cache setting,
-// the incremental packed-image counter must agree with the std::set
-// reference on random space/box pairs, the candidate enumerator must stay
-// lazy, and the enumeration-budget check must behave exactly at the
-// boundary.  Runs under TSan in CI (the parallel cases exercise the
-// shared feed, incumbent bound, verdict cache and orbit-count cache).
+// the image-bitset counter must agree with the std::set reference on
+// random space/box pairs, the candidate enumerator must stay lazy, and the
+// enumeration-budget check must behave exactly at the boundary.  Runs
+// under TSan in CI (the parallel cases exercise the shared feed,
+// incumbent bound and verdict cache).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
 #include <random>
-#include <set>
 #include <thread>
 #include <vector>
 
-#include "mapping/canonical_key.hpp"
 #include "model/gallery.hpp"
 #include "search/space_optimal.hpp"
 #include "search/verdict_cache.hpp"
-#include "support/flat_image_set.hpp"
+#include "support/packed_coord.hpp"
 
 namespace sysmap::search {
 namespace {
@@ -152,15 +150,24 @@ TEST(SpaceSearchParity, ParetoFrontAliasesExplore) {
   }
 }
 
-// ---- incremental image counting oracle -------------------------------------
+// ---- image counting oracle -------------------------------------------------
+
+// |{S j : j in J}| by evaluate_array_cost's std::set walk -- the reference
+// every count is held to.
+Int set_walk_count(const model::IndexSet& set, const MatI& space) {
+  const model::UniformDependenceAlgorithm box(
+      "box", set, MatI::identity(set.dimension()));
+  return evaluate_array_cost(box, space).processors;
+}
 
 TEST(ImageCountOracle, RandomSpacesMatchSetReference) {
   std::mt19937 rng(20260808);
   std::uniform_int_distribution<Int> entry(-3, 3);
   std::uniform_int_distribution<Int> extent(1, 6);
-  std::uniform_int_distribution<int> dim_n(2, 3);
-  std::uniform_int_distribution<int> dim_m(1, 2);
-  for (int trial = 0; trial < 200; ++trial) {
+  std::uniform_int_distribution<int> dim_n(2, 4);
+  std::uniform_int_distribution<int> dim_m(1, 3);
+  std::uniform_int_distribution<int> coin(0, 3);
+  for (int trial = 0; trial < 300; ++trial) {
     const std::size_t n = static_cast<std::size_t>(dim_n(rng));
     const std::size_t m =
         std::min<std::size_t>(static_cast<std::size_t>(dim_m(rng)), n);
@@ -177,12 +184,47 @@ TEST(ImageCountOracle, RandomSpacesMatchSetReference) {
         }
       }
     }
-    std::set<VecI> reference;
-    set.for_each([&](const VecI& j) { reference.insert(space * j); });
-    EXPECT_EQ(count_processor_images(set, space),
-              static_cast<Int>(reference.size()))
+    // A zero column s_i = 0 (the axis adds nothing to the image).
+    if (coin(rng) == 0) {
+      const std::size_t c = static_cast<std::size_t>(rng() % n);
+      for (std::size_t r = 0; r < m; ++r) space(r, c) = 0;
+    }
+    const Int reference = set_walk_count(set, space);
+    EXPECT_EQ(count_processor_images(set, space), reference)
+        << "trial " << trial;
+
+    // A mu_i = 0 axis, which IndexSet cannot hold: the box prod [0, mu_i]
+    // with an extra zero-extent axis has the same image as the box
+    // without it, whatever that axis's column is.
+    const std::size_t at = static_cast<std::size_t>(rng() % (n + 1));
+    VecI flat_mu = mu;
+    flat_mu.insert(flat_mu.begin() + static_cast<std::ptrdiff_t>(at), 0);
+    MatI widened(m, n + 1);
+    for (std::size_t r = 0; r < m; ++r) {
+      for (std::size_t c = 0, src = 0; c <= n; ++c) {
+        widened(r, c) = c == at ? entry(rng) * 1000 : space(r, src++);
+      }
+    }
+    const std::optional<support::ImageBitset> image =
+        support::ImageBitset::build(widened, flat_mu);
+    ASSERT_TRUE(image.has_value()) << "trial " << trial;
+    EXPECT_EQ(static_cast<Int>(image->count()), reference)
         << "trial " << trial;
   }
+
+  // Image boxes past the bitset's bound (large entries, tiny boxes) and
+  // boxes that do not pack into uint64 take the std::set walk.
+  const model::IndexSet tiny{VecI{1, 2, 1}};
+  const MatI wide{{1, 100000, -3}, {7, 0, 100000}};
+  ASSERT_TRUE(support::ImagePacking::build(wide, tiny.bounds()).has_value());
+  EXPECT_FALSE(support::ImageBitset::build(wide, tiny.bounds()).has_value());
+  EXPECT_EQ(count_processor_images(tiny, wide), set_walk_count(tiny, wide));
+  const Int huge = Int{1} << 40;
+  const MatI unpackable{{huge, 1, -huge}, {1, huge, huge}};
+  EXPECT_FALSE(
+      support::ImagePacking::build(unpackable, tiny.bounds()).has_value());
+  EXPECT_EQ(count_processor_images(tiny, unpackable),
+            set_walk_count(tiny, unpackable));
 }
 
 TEST(ImageCountOracle, PackingRejectsOverflowingBoxes) {
@@ -190,65 +232,7 @@ TEST(ImageCountOracle, PackingRejectsOverflowingBoxes) {
   // decline instead of wrapping.
   const model::IndexSet set{VecI{std::numeric_limits<Int>::max() / 2, 4}};
   const MatI space{{3, 1}};
-  EXPECT_FALSE(support::ImagePacking::build(space, set).has_value());
-}
-
-TEST(FlatImageSet, InsertDedupAndGrowth) {
-  support::FlatImageSet images(4);
-  for (std::uint64_t k = 0; k < 1000; ++k) {
-    EXPECT_TRUE(images.insert(k * k));
-  }
-  for (std::uint64_t k = 0; k < 1000; ++k) {
-    EXPECT_FALSE(images.insert(k * k));
-  }
-  EXPECT_EQ(images.size(), 1000u);
-  images.clear();
-  EXPECT_EQ(images.size(), 0u);
-  EXPECT_TRUE(images.insert(7));
-}
-
-// ---- orbit canonicalization ------------------------------------------------
-
-TEST(SpaceOrbitKey, EqualMuColumnPermutationAliases) {
-  const model::IndexSet cube = model::matmul(4).index_set();
-  const MatI a{{1, 1, -1}};
-  const MatI b{{1, -1, 1}};  // columns 2,3 swapped then sign-normalized
-  EXPECT_EQ(mapping::canonical_space_orbit_key(a, cube),
-            mapping::canonical_space_orbit_key(b, cube));
-  // The counts the key promises equal really are equal.
-  EXPECT_EQ(count_processor_images(cube, a), count_processor_images(cube, b));
-}
-
-TEST(SpaceOrbitKey, UnequalMuColumnsDoNotAlias) {
-  const model::IndexSet box{VecI{4, 2, 4}};
-  const MatI a{{1, 2, 0}};
-  const MatI b{{2, 1, 0}};  // swaps columns with DIFFERENT extents
-  EXPECT_FALSE(mapping::canonical_space_orbit_key(a, box) ==
-               mapping::canonical_space_orbit_key(b, box));
-}
-
-TEST(SpaceOrbitKey, RowSignAndPermutationInvariant) {
-  const model::IndexSet cube = model::matmul(3).index_set();
-  const MatI a{{1, 0, -1}, {0, 1, 1}};
-  const MatI b{{0, -1, -1}, {-1, 0, 1}};  // rows swapped and negated
-  EXPECT_EQ(mapping::canonical_space_orbit_key(a, cube),
-            mapping::canonical_space_orbit_key(b, cube));
-}
-
-TEST(ImageCountCacheTest, LookupInsertStats) {
-  ImageCountCache cache;
-  const model::IndexSet cube = model::matmul(2).index_set();
-  const mapping::ConflictKey key =
-      mapping::canonical_space_orbit_key(MatI{{1, 1, -1}}, cube);
-  EXPECT_FALSE(cache.lookup(key).has_value());
-  cache.insert(key, 13);
-  const std::optional<Int> hit = cache.lookup(key);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, 13);
-  const ImageCountCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_FALSE(support::ImagePacking::build(space, set.bounds()).has_value());
 }
 
 // ---- lazy enumeration ------------------------------------------------------

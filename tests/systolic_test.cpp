@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <set>
 
 #include "mapping/conflict.hpp"
 #include "model/gallery.hpp"
@@ -67,6 +69,37 @@ TEST(ArrayDesign, OnInterconnect) {
   EXPECT_FALSE(design_on_interconnect(algo, figure3_mapping(),
                                       schedule::Interconnect(forward_only))
                    .has_value());
+}
+
+TEST(ArrayDesign, ProcessorsMatchSetWalkOnRandomSpaces) {
+  // The processor list comes from the image bitset (or, past its bound,
+  // the per-point walk); either way it is exactly {S j : j in J}.
+  std::mt19937 rng(20261020);
+  std::uniform_int_distribution<Int> entry(-3, 3);
+  std::uniform_int_distribution<Int> extent(1, 5);
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::size_t n = 2 + static_cast<std::size_t>(trial % 3);
+    // k = m + 1 <= n.
+    const std::size_t m =
+        std::min<std::size_t>(1 + static_cast<std::size_t>(trial / 3 % 2),
+                              n - 1);
+    VecI mu(n);
+    for (std::size_t i = 0; i < n; ++i) mu[i] = extent(rng);
+    const model::UniformDependenceAlgorithm algo(
+        "box", model::IndexSet{mu}, MatI::identity(n));
+    MatI space(m, n);
+    for (std::size_t r = 0; r < m; ++r) {
+      for (std::size_t c = 0; c < n; ++c) space(r, c) = entry(rng);
+    }
+    // Every tenth space's image box is far past the bitset's bound.
+    if (trial % 10 == 0) space(0, 0) = 100000007;
+    std::set<VecI> reference;
+    algo.index_set().for_each(
+        [&](const VecI& j) { reference.insert(space * j); });
+    const mapping::MappingMatrix t(space, VecI(n, 1));
+    EXPECT_EQ(design_dedicated_array(algo, t).processors, reference)
+        << "trial " << trial;
+  }
 }
 
 TEST(Simulate, Figure3Execution) {

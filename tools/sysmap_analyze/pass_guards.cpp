@@ -350,7 +350,7 @@ bool GuardsPass::kernel_surface(const std::string& path) {
       "src/search/fixed_space", "src/search/space_optimal",
       "src/search/procedure51", "src/search/enumerate",
       "src/search/pipeline",
-      "src/support/flat_image_set", "src/support/packed_coord",
+      "src/support/packed_coord",
       "src/systolic/simulator", "src/systolic/engine",
       "lint_fixtures"};
   for (const char* n : needles) {

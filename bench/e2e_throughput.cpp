@@ -9,7 +9,9 @@
 //                   std::set cost walk each time -- the seed oracle
 //   fused           joint_time_optimal_mapping, one thread: one pipeline
 //                   persists across spaces (shared verdict cache,
-//                   schedule-orbit objective reuse, per-space contexts),
+//                   schedule-orbit objective reuse, a level memo that
+//                   walks each Procedure 5.1 level once, per-space
+//                   contexts),
 //                   the best objective so far truncates hopeless spaces,
 //                   image-bitset costing
 //   fused_parallel  the same, fanned over the thread pool with the

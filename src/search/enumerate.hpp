@@ -14,17 +14,29 @@
 // visited candidates, the first hit and both statistics
 // (candidates_tested / candidates_passed_dependence) are those of the
 // plain walk followed by respects_dependences.
+//
+// DependenceLevels is Procedure 5.1's only way into a walk.  Pi D > 0
+// depends on (J, D) alone, so every space S of a sweep walks the same
+// survivors of a level; the memo lists them once (on the level's second
+// request) and replays the list for every later space, reporting the
+// counts DependenceSweep would.  Levels it does not list are walked by
+// the caller's own DependenceSweep.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "exact/checked.hpp"
 #include "linalg/types.hpp"
 #include "model/index_set.hpp"
 #include "schedule/linear_schedule.hpp"
+#include "support/contracts.hpp"
 
 namespace sysmap::search {
 
@@ -278,7 +290,6 @@ class DependenceSweep {
     return descend(0, f, tested, visit);
   }
 
- private:
   /// True when level f may be walked with pruning: its counts are exact
   /// and no partial sum or pruning product at f can overflow int64.  With
   /// |pi_j| <= f / mu_j, every partial sum of column c is bounded by
@@ -307,6 +318,7 @@ class DependenceSweep {
     return true;
   }
 
+ private:
   /// Some column stays <= 0 at every leaf below the node (i, r) whose
   /// partial sums are row i of sums_.
   // SYSMAP_RAW_FASTPATH(bounded: prunable(f) bounds every partial sum and
@@ -377,6 +389,215 @@ class DependenceSweep {
   std::vector<Int> sums_;  ///< row i: column sums of pi_0..pi_{i-1}
   std::vector<Int> num_;   ///< row i: largest |d_jc| / mu_j over j >= i
   std::vector<Int> den_;
+};
+
+/// Procedure 5.1's levels, shared by every space S of one algorithm (J, D).
+///
+/// For a listed level the memo holds the Pi D > 0 survivors in walk order,
+/// the number of level candidates tested when the walk reached each
+/// survivor (the survivor included), and the level size.  walk() replays
+/// such a level: visit(pi) for each survivor in order, then tested grows
+/// by the survivor's offset when visit aborts and by the level size when
+/// it never does -- exactly what DependenceSweep::walk reports, so the
+/// winner, candidates_tested and candidates_passed_dependence do not
+/// change.
+///
+/// A level is listed on its second request, and only when it is prunable
+/// and lies within 1..max_level, max_level <= kMaxCountedLevel; the list is
+/// built by walking the whole level once.  Every other request walks the level
+/// inline, exactly as DependenceSweep does (overflow exceptions included).
+/// So a single-space query, which requests each level once, never walks a
+/// level past its first hit.  Lists past kMaxWords in total are not kept.
+///
+/// Inline walks and list builds run on the caller's own DependenceSweep
+/// (`own`, built on first use), never on shared scratch.  A listed level
+/// is immutable once published and the request marks are atomic, so one
+/// memo may serve every worker of a sweep; counts() is tabulated once,
+/// under std::call_once, and never changes after.
+class DependenceLevels {
+ public:
+  /// Budget for all listed levels, in words: n + 1 per survivor plus one
+  /// per level.  2^20 words (8 MB) is about 70 times the largest memo of
+  /// the benchmark's joint workload (15,318 words).
+  static constexpr std::size_t kMaxWords = std::size_t{1} << 20;
+
+  /// A memo for (set, dependence) that lists levels up to max_level and
+  /// counts() through it; max_level = 0 lists nothing (the private memo
+  /// of a lone procedure_5_1 call).
+  DependenceLevels(const model::IndexSet& set, const MatI& dependence,
+                   Int max_level = 0)
+      : set_(set),
+        d_(dependence),
+        max_level_(max_level),
+        stride_(objective_level_stride(set)),
+        counts_(set) {
+    if (max_level > 0 &&
+        static_cast<std::uint64_t>(max_level) <= kMaxCountedLevel) {
+      slots_ = std::vector<std::atomic<const Level*>>(
+          static_cast<std::size_t>(max_level / stride_) + 1);
+    }
+  }
+
+  ~DependenceLevels() {
+    for (std::atomic<const Level*>& slot : slots_) {
+      const Level* level = slot.load();
+      if (level != &seen_ && level != &unlisted_) delete level;
+    }
+  }
+
+  DependenceLevels(const DependenceLevels&) = delete;
+  DependenceLevels& operator=(const DependenceLevels&) = delete;
+
+  /// True when built for this (J, D); compared in place.
+  bool describes(const model::IndexSet& set, const MatI& dependence) const {
+    return set == set_ && dependence == d_;
+  }
+
+  Int max_level() const { return max_level_; }
+
+  /// Candidate counts exact through max_level, or nullptr when they
+  /// overflow uint64 or max_level exceeds kMaxCountedLevel.  Tabulated on
+  /// the first call, so a memo whose counts nobody reads (the ILP route's
+  /// certification sweeps) never pays for them.
+  const LevelCounts* counts() const {
+    std::call_once(counts_once_,
+                   [this] { counted_ = counts_.extend_to(max_level_); });
+    return counted_ ? &counts_ : nullptr;
+  }
+
+  /// True when walk() replays level f from its list.
+  bool listed(Int f) const {
+    const std::size_t at = slot_index(f);
+    if (at == slots_.size()) return false;
+    const Level* level = slots_[at].load();
+    return level != nullptr && level != &seen_ && level != &unlisted_;
+  }
+
+  /// Walks level f like DependenceSweep::walk; false when `visit` aborted.
+  /// `own` is the caller's sweep for the levels walked inline, built on
+  /// first use; keep it across the levels of one search.
+  template <typename Visit>
+  bool walk(Int f, std::uint64_t& tested, std::optional<DependenceSweep>& own,
+            Visit&& visit) {
+    if (const Level* level = request(f, own)) {
+      if (!level->offsets.empty()) {
+        const std::size_t n = set_.dimension();
+        VecI pi(n);
+        for (std::size_t s = 0; s < level->offsets.size(); ++s) {
+          std::copy_n(level->survivors.begin() +
+                          static_cast<std::ptrdiff_t>(s * n),
+                      n, pi.begin());
+          if (!visit(static_cast<const VecI&>(pi))) {
+            tested += level->offsets[s];
+            return false;
+          }
+        }
+      }
+      tested += level->size;
+      return true;
+    }
+    return sweep(own).walk(f, tested, visit);
+  }
+
+ private:
+  struct Level {
+    std::vector<Int> survivors;  ///< n entries per survivor, in walk order
+    std::vector<std::uint64_t> offsets;
+    std::uint64_t size = 0;
+  };
+
+  DependenceSweep& sweep(std::optional<DependenceSweep>& own) const {
+    if (!own) own.emplace(set_, d_);
+    return *own;
+  }
+
+  /// Index of level f's slot, or slots_.size() when the memo never
+  /// lists f.
+  std::size_t slot_index(Int f) const {
+    if (f < 1 || f > max_level_ || slots_.empty() || f % stride_ != 0) {
+      return slots_.size();
+    }
+    return static_cast<std::size_t>(f / stride_);
+  }
+
+  /// The list of level f, or nullptr when f is walked inline.  Marks a
+  /// first request, builds and publishes the list on the second.
+  const Level* request(Int f, std::optional<DependenceSweep>& own) {
+    const std::size_t at = slot_index(f);
+    if (at == slots_.size()) return nullptr;
+    std::atomic<const Level*>& slot = slots_[at];
+    const Level* level = slot.load();
+    if (level == nullptr) {
+      slot.compare_exchange_strong(level, &seen_);
+      return nullptr;
+    }
+    if (level == &unlisted_) return nullptr;
+    if (level != &seen_) return level;
+
+    DependenceSweep& walker = sweep(own);
+    std::unique_ptr<Level> built;
+    std::size_t words = 0;
+    if (walker.prunable(f)) {
+      built = std::make_unique<Level>();
+      walker.walk(f, built->size, [&](const VecI& pi) {
+        built->survivors.insert(built->survivors.end(), pi.begin(),
+                                pi.end());
+        built->offsets.push_back(built->size);
+        return true;
+      });
+      words = built->survivors.size() + built->offsets.size() + 1;
+      check_level(f, *built);
+    }
+    if (!built || words_.fetch_add(words) + words > kMaxWords) {
+      if (built) words_.fetch_sub(words);
+      slot.compare_exchange_strong(level, &unlisted_);
+      return nullptr;
+    }
+    if (slot.compare_exchange_strong(level, built.get())) {
+      return built.release();
+    }
+    // Another worker settled the level first; our list is freed.
+    words_.fetch_sub(words);
+    return level == &unlisted_ ? nullptr : level;
+  }
+
+  /// Under SYSMAP_CONTRACTS: a new list equals the plain walk followed by
+  /// respects_dependences, survivor for survivor and offset for offset.
+  void check_level(Int f, const Level& level) const {
+#if SYSMAP_CONTRACTS_ACTIVE
+    std::vector<Int> survivors;
+    std::vector<std::uint64_t> offsets;
+    std::uint64_t size = 0;
+    for_each_schedule_at(set_, f, [&](const VecI& pi) {
+      ++size;
+      if (schedule::respects_dependences(pi, d_)) {
+        survivors.insert(survivors.end(), pi.begin(), pi.end());
+        offsets.push_back(size);
+      }
+      return true;
+    });
+    SYSMAP_CONTRACT(survivors == level.survivors && offsets == level.offsets &&
+                        size == level.size,
+                    "listed level " << f << " differs from the plain walk");
+#else
+    (void)f;
+    (void)level;
+#endif
+  }
+
+  const model::IndexSet set_;
+  const MatI d_;
+  const Int max_level_;
+  const Int stride_;
+  mutable std::once_flag counts_once_;
+  mutable LevelCounts counts_;
+  mutable bool counted_ = false;
+  /// Slot f / stride: nullptr (never requested), &seen_ (requested once),
+  /// &unlisted_ (walked inline for good) or the published list.
+  std::vector<std::atomic<const Level*>> slots_;
+  std::atomic<std::size_t> words_{0};
+  Level seen_;
+  Level unlisted_;
 };
 
 }  // namespace sysmap::search

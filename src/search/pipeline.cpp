@@ -48,9 +48,10 @@ void finalize(const model::UniformDependenceAlgorithm& algo,
 }  // namespace
 
 // Everything the fused path shares across score() calls.  All mutable
-// state sits behind one mutex (entries, prefix, signature) or in relaxed
-// atomics (the advisory counters); the searches themselves run outside
-// the lock, so workers serialize only on the map probes.
+// state sits behind one mutex (entries, the anchor), inside the level memo
+// (internally synchronized) or in relaxed atomics (the advisory counters);
+// the searches themselves run outside the lock, so workers serialize only
+// on the map probes.
 struct MappingPipeline::Fusion {
   VerdictCache* cache = nullptr;
   std::unique_ptr<VerdictCache> owned_cache;
@@ -62,10 +63,11 @@ struct MappingPipeline::Fusion {
   };
 
   std::mutex mu;
-  bool ready = false;
-  bool counts_ok = false;
-  std::vector<Int> sig;  ///< n, extents, dependence matrix -- resets state
-  std::optional<LevelCounts> counts;
+  /// The anchor: the level memo of the algorithm + bound last prepared.
+  /// Its counts reproduce the orbit entries' statistics; a new anchor
+  /// clears the entries.  Each search holds its own reference, so a
+  /// re-anchor never pulls a memo from under a running search.
+  std::shared_ptr<DependenceLevels> levels;
   std::unordered_map<mapping::ConflictKey, Entry, mapping::ConflictKeyHash>
       entries;
 
@@ -74,35 +76,23 @@ struct MappingPipeline::Fusion {
   std::atomic<std::uint64_t> seeded{0};
   std::atomic<std::uint64_t> truncated{0};
 
-  /// (Re)anchors the per-algorithm state; true when the orbit cache (and
-  /// the level counts that reproduce its statistics) is usable for this
-  /// algorithm + bound.
-  bool prepare(const model::UniformDependenceAlgorithm& algo,
-               Int resolved_max) {
+  /// (Re)anchors the per-algorithm state and returns the level memo.  Its
+  /// counts() (non-null when the orbit cache is usable for this algorithm
+  /// + bound) run through resolved_max.
+  std::shared_ptr<DependenceLevels> prepare(
+      const model::UniformDependenceAlgorithm& algo, Int resolved_max) {
     const model::IndexSet& set = algo.index_set();
     const MatI& d = algo.dependence_matrix();
-    std::vector<Int> fresh;
-    fresh.reserve(1 + set.dimension() + d.rows() * d.cols() + 1);
-    fresh.push_back(static_cast<Int>(set.dimension()));
-    for (std::size_t i = 0; i < set.dimension(); ++i) {
-      fresh.push_back(set.mu(i));
-    }
-    for (std::size_t r = 0; r < d.rows(); ++r) {
-      for (std::size_t c = 0; c < d.cols(); ++c) fresh.push_back(d(r, c));
-    }
-    fresh.push_back(resolved_max);
     std::lock_guard<std::mutex> lock(mu);
-    if (!ready || fresh != sig) {
-      sig = std::move(fresh);
+    if (levels == nullptr || levels->max_level() != resolved_max ||
+        !levels->describes(set, d)) {
       entries.clear();
       // Exact per-level candidate counts let an orbit hit reproduce the
       // cold search's candidates_tested without re-walking skipped levels;
       // on overflow or an oversized bound the orbit cache stands down.
-      counts.emplace(set);
-      counts_ok = counts->extend_to(resolved_max);
-      ready = true;
+      levels = std::make_shared<DependenceLevels>(set, d, resolved_max);
     }
-    return counts_ok;
+    return levels;
   }
 
   std::optional<Entry> lookup(const mapping::ConflictKey& key) {
@@ -139,15 +129,6 @@ struct MappingPipeline::Fusion {
     } else if (!cur.found && e.bound > cur.bound) {
       cur.bound = e.bound;
     }
-  }
-
-  /// Candidates the serial sweep visits at levels 1..f-1 / 1..f.  Callers
-  /// guarantee counts_ok and 1 <= f <= the prepared bound.
-  std::uint64_t below(Int f) const {
-    return counts->through(static_cast<std::size_t>(f) - 1);
-  }
-  std::uint64_t through(Int f) const {
-    return counts->through(static_cast<std::size_t>(f));
   }
 };
 
@@ -248,6 +229,15 @@ MappingSolution MappingPipeline::solve(
     if (!ctx && k <= n) ctx.emplace(set, space);
     return ctx ? &*ctx : nullptr;
   };
+  // The fused path's level memo, shared by every space of the algorithm
+  // and held for the whole call; fetched lazily for the same reason.
+  std::shared_ptr<DependenceLevels> levels;
+  auto shared_levels = [&]() -> DependenceLevels* {
+    if (!levels && fusion != nullptr) {
+      levels = fusion->prepare(algo, resolved_max);
+    }
+    return levels.get();
+  };
 
   if (use_ilp && ilp_applicable && !options_.target) {
     // ILP candidate + lower bound, then certify with a bounded sweep.
@@ -283,6 +273,7 @@ MappingSolution MappingPipeline::solve(
         search_options.max_objective =
             capped ? std::min(ilp.objective, cap) : ilp.objective;
         search_options.context = shared_context();
+        search_options.levels = shared_levels();
         SearchResult swept = procedure_5_1(algo, space, search_options);
         solution.candidates_tested = swept.candidates_tested;
         if (capped && !swept.found && ilp.objective > cap) {
@@ -318,12 +309,14 @@ MappingSolution MappingPipeline::solve(
   // and statistics as the cold scan, with every level below f* recovered
   // from the closed-form prefix counts instead of re-screened.
   search_options.context = shared_context();
-  const bool orbit_usable = fusion != nullptr && !options_.target &&
-                            fusion->prepare(algo, resolved_max);
+  search_options.levels = shared_levels();
+  const LevelCounts* counts = levels != nullptr && !options_.target
+                                  ? levels->counts()
+                                  : nullptr;
   SearchResult result;
   bool resolved = false;
   std::optional<mapping::ConflictKey> orbit_key;
-  if (orbit_usable) {
+  if (counts != nullptr) {
     orbit_key = mapping::canonical_space_schedule_key(space, set, d);
     const std::optional<Fusion::Entry> entry = fusion->lookup(*orbit_key);
     if (entry && entry->found) {
@@ -335,7 +328,8 @@ MappingSolution MappingPipeline::solve(
                             << entry->objective
                             << " but the seeded search disagreed");
         if (seeded.found && seeded.objective == entry->objective) {
-          seeded.candidates_tested += fusion->below(entry->objective);
+          seeded.candidates_tested +=
+              counts->through(static_cast<std::size_t>(entry->objective) - 1);
           result = std::move(seeded);
           resolved = true;
           fusion->seeded.fetch_add(1, std::memory_order_relaxed);
@@ -347,7 +341,8 @@ MappingSolution MappingPipeline::solve(
       } else {
         // The certified optimum lies beyond this call's bound: the cold
         // scan would exhaust every level up to eff_max and find nothing.
-        result.candidates_tested = fusion->through(eff_max);
+        result.candidates_tested =
+            counts->through(static_cast<std::size_t>(eff_max));
         resolved = true;
         if (capped && entry->objective > cap &&
             entry->objective <= resolved_max) {
@@ -356,7 +351,8 @@ MappingSolution MappingPipeline::solve(
       }
     } else if (entry && !entry->found && eff_max <= entry->bound) {
       // Certified: no feasible Pi at any level <= entry->bound.
-      result.candidates_tested = fusion->through(eff_max);
+      result.candidates_tested =
+          counts->through(static_cast<std::size_t>(eff_max));
       resolved = true;
       if (capped && eff_max < resolved_max) {
         note_truncated();

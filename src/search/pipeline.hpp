@@ -25,7 +25,15 @@
 //      counts are recovered from a closed-form DP, not by re-enumeration),
 //  (c) an optional caller-supplied incumbent cap on the objective
 //      (Int cap) that truncates searches which provably cannot beat the
-//      best full mapping found so far.
+//      best full mapping found so far,
+//  (d) a level memo (search::DependenceLevels) handed to every
+//      Procedure-5.1 run, certification sweeps included: Pi D > 0 depends
+//      on (J, D) alone, so a level's survivors are listed once, on its
+//      second request, and replayed for every later space with the
+//      candidate counters the walk would report.  The memo also holds
+//      the level-prefix counts of (b) and anchors the per-algorithm
+//      state: a different algorithm or bound replaces it and clears the
+//      orbit entries.
 // score() without a cap is bit-identical to find_time_optimal() in every
 // field, for any interleaving of spaces and threads; the fusion state is
 // internally synchronized, so one const pipeline may be shared by every
@@ -112,7 +120,7 @@ class MappingPipeline {
   };
 
   /// Arms the fused path.  Call once, before the first score(); the
-  /// per-algorithm state (orbit entries, level-prefix counts) resets
+  /// per-algorithm state (orbit entries, level memo and its counts) resets
   /// automatically when score() sees a different algorithm.  The fused
   /// path reuses certified optimal objectives across candidates in the
   /// same schedule orbit (mapping::canonical_space_schedule_key), except

@@ -106,15 +106,23 @@ SearchResult procedure_5_1(const model::UniformDependenceAlgorithm& algo,
   // multiple of gcd_i mu_i.
   const Int stride = objective_level_stride(set);
 
-  // (1) Pi D > 0 is decided by the sweep itself, which skips whole
-  // subtrees that cannot pass it and counts their candidates as tested.
-  DependenceSweep sweep(set, d);
+  // (1) Pi D > 0 is decided by the walk itself, which skips whole
+  // subtrees that cannot pass it and counts their candidates as tested, or
+  // replays a level the shared memo has listed.
+  std::optional<DependenceLevels> own_levels;
+  DependenceLevels* levels = options.levels;
+  if (levels == nullptr) {
+    levels = &own_levels.emplace(set, d);
+  }
+  SYSMAP_CONTRACT(levels->describes(set, d),
+                  "the level memo was built for another (J, D)");
+  std::optional<DependenceSweep> sweep;  // this call's inline walks
   SearchResult result;
   for (Int f = std::max<Int>(options.min_objective, 1); f <= max_objective;
        ++f) {
     if (f % stride != 0) continue;
     bool found_at_level = false;
-    sweep.walk(f, result.candidates_tested, [&](const VecI& pi) {
+    levels->walk(f, result.candidates_tested, sweep, [&](const VecI& pi) {
       ++result.candidates_passed_dependence;
       mapping::ConflictVerdict verdict;
       if (ctx) {

@@ -25,6 +25,7 @@ namespace sysmap::search {
 
 class VerdictCache;
 class FixedSpaceContext;
+class DependenceLevels;
 
 /// Which conflict oracle Step 5(3) uses.
 enum class ConflictOracle {
@@ -69,6 +70,14 @@ struct SearchOptions {
   /// context construction once.  Ignored when use_fixed_space_context is
   /// false or the oracle is kBruteForce (matching the own-context policy).
   const FixedSpaceContext* context = nullptr;
+  /// Optional caller-owned level memo for this algorithm's (J, D)
+  /// (search/enumerate.hpp), borrowed for the duration of the call;
+  /// nullptr lets the search build a private one, which lists nothing.  A
+  /// driver that runs searches for MANY spaces of one algorithm passes one
+  /// memo to all of them (and to all of its threads): every level is then
+  /// walked once and replayed for the other spaces, with bit-identical
+  /// results and statistics.
+  DependenceLevels* levels = nullptr;
 };
 
 struct SearchResult {

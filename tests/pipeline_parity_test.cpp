@@ -4,8 +4,8 @@
 // fused sweeps built on it (explore_design_space, the joint single-winner
 // query) must reproduce their seed oracles field for field across every
 // thread count and verdict-cache setting.  Runs under TSan in CI (the parallel joint
-// cases exercise the shared fusion state, the schedule-orbit map and the
-// cross-space incumbent cap concurrently).
+// cases exercise the shared fusion state, the schedule-orbit map, the
+// level memo and the cross-space incumbent cap concurrently).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -220,14 +220,16 @@ void expect_same_joint(const JointMappingResult& seed,
   EXPECT_EQ(seed.cost.wire_length, fast.cost.wire_length) << label;
 }
 
-void run_joint_parity(const model::UniformDependenceAlgorithm& algo,
-                      Int max_entry, std::size_t dims) {
+void run_joint_parity(
+    const model::UniformDependenceAlgorithm& algo, Int max_entry,
+    std::size_t dims,
+    const std::vector<std::size_t>& thread_counts = parity_thread_counts()) {
   SpaceSearchOptions base;
   base.max_entry = max_entry;
   base.array_dims = dims;
   const JointMappingResult seed = joint_time_optimal_mapping_seed(algo, base);
   for (bool with_cache : {false, true}) {
-    for (std::size_t threads : parity_thread_counts()) {
+    for (std::size_t threads : thread_counts) {
       VerdictCache cache;
       SpaceSearchOptions options = base;
       if (with_cache) options.verdict_cache = &cache;
@@ -254,6 +256,17 @@ TEST(PipelineParity, JointUnitCube) {
 
 TEST(PipelineParity, JointTransitiveClosure) {
   run_joint_parity(model::transitive_closure(3), 1, 1);
+}
+
+TEST(PipelineParity, JointLevelMemoAtOneTwoFourThreads) {
+  // Larger pools, where the pipeline's level memo lists most levels after
+  // the first spaces and the workers replay them concurrently: the ILP
+  // route's certification sweeps, the Procedure 5.1 route and a 4-D
+  // k = n-1 pool.
+  const std::vector<std::size_t> threads = {1, 2, 4};
+  run_joint_parity(model::matmul(6), 2, 1, threads);
+  run_joint_parity(model::lu_decomposition(5), 1, 2, threads);
+  run_joint_parity(model::unit_cube_algorithm(4, 2), 1, 2, threads);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exact/bigint.hpp"
@@ -36,6 +37,7 @@
 #include "search/enumerate.hpp"
 #include "search/fixed_space.hpp"
 #include "search/procedure51.hpp"
+#include "search/space_optimal.hpp"
 #include "search/verdict_cache.hpp"
 
 namespace sysmap::search {
@@ -293,6 +295,181 @@ TEST(DependenceSweep, AbortCountsThroughTheStoppingCandidate) {
 }
 
 // ---------------------------------------------------------------------------
+// DependenceLevels, the level memo shared by the spaces of a sweep
+// ---------------------------------------------------------------------------
+
+// The plain walk followed by respects_dependences: the survivors of level
+// f in walk order, the candidates tested when each was reached, and the
+// level size.
+struct ReferenceLevel {
+  std::vector<VecI> survivors;
+  std::vector<std::uint64_t> offsets;
+  std::uint64_t size = 0;
+};
+
+ReferenceLevel reference_level(const model::IndexSet& set, const MatI& d,
+                               Int f) {
+  ReferenceLevel out;
+  for_each_schedule_at(set, f, [&](const VecI& pi) {
+    ++out.size;
+    if (schedule::respects_dependences(pi, d)) {
+      out.survivors.push_back(pi);
+      out.offsets.push_back(out.size);
+    }
+    return true;
+  });
+  return out;
+}
+
+// One memo walk of level f that stops at survivor `stop` (or never when
+// stop is past the end), checked against the reference; `own` is fresh,
+// so whether it was built tells an inline walk or a build from a replay.
+// Returns true when the memo replayed the level.
+bool expect_memo_walk(DependenceLevels& memo, Int f, const ReferenceLevel& want,
+                      std::size_t stop) {
+  std::optional<DependenceSweep> own;
+  std::vector<VecI> got;
+  std::uint64_t tested = 7;  // the walk adds to what earlier levels counted
+  const bool completed = memo.walk(f, tested, own, [&](const VecI& pi) {
+    got.push_back(pi);
+    return got.size() != stop + 1;
+  });
+  const bool stopped = stop < want.survivors.size();
+  EXPECT_EQ(completed, !stopped) << "f=" << f;
+  const std::size_t visited = stopped ? stop + 1 : want.survivors.size();
+  EXPECT_EQ(got, std::vector<VecI>(want.survivors.begin(),
+                                   want.survivors.begin() +
+                                       static_cast<long>(visited)))
+      << "f=" << f;
+  EXPECT_EQ(tested, 7 + (stopped ? want.offsets[stop] : want.size))
+      << "f=" << f;
+  return !own.has_value();
+}
+
+TEST(DependenceLevels, ListsMatchThePlainWalk) {
+  Lcg rng;
+  int listed_levels = 0;
+  int replays = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const model::UniformDependenceAlgorithm algo =
+        random_algorithm(rng, static_cast<std::size_t>(rng.next(2, 5)));
+    const model::IndexSet& set = algo.index_set();
+    const MatI& d = algo.dependence_matrix();
+    const Int top = 14;
+    DependenceLevels memo(set, d, top);
+    ASSERT_NE(memo.counts(), nullptr);
+    for (Int f = 1; f <= top; ++f) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " f=" +
+                   std::to_string(f));
+      const ReferenceLevel want = reference_level(set, d, f);
+      const std::size_t n_surv = want.survivors.size();
+      const bool on_stride = f % objective_level_stride(set) == 0;
+      // First request: walked inline, never listed.
+      EXPECT_FALSE(expect_memo_walk(memo, f, want, n_surv));
+      EXPECT_FALSE(memo.listed(f));
+      // Second request: the whole level is walked once and listed.
+      EXPECT_FALSE(expect_memo_walk(memo, f, want,
+                                    n_surv == 0 ? 0 : n_surv / 2));
+      EXPECT_EQ(memo.listed(f), on_stride);
+      if (!on_stride) continue;
+      ++listed_levels;
+      // Later requests replay the list, stopping at the first, a random
+      // or the last survivor, or nowhere.
+      for (std::size_t stop :
+           {std::size_t{0},
+            static_cast<std::size_t>(rng.next(0, static_cast<Int>(n_surv))),
+            n_surv == 0 ? 0 : n_surv - 1, n_surv}) {
+        EXPECT_TRUE(expect_memo_walk(memo, f, want, stop));
+        ++replays;
+      }
+    }
+    // The counts cover every level through the bound.
+    std::uint64_t through = 0;
+    for (Int f = 1; f <= top; ++f) through += reference_level(set, d, f).size;
+    EXPECT_EQ(memo.counts()->through(static_cast<std::size_t>(top)), through);
+  }
+  EXPECT_GT(listed_levels, 300);
+  EXPECT_GT(replays, 1200);
+}
+
+TEST(DependenceLevels, LevelsOutsideTheBoundAreNeverListed) {
+  const model::UniformDependenceAlgorithm algo = model::matmul(3);
+  const model::IndexSet& set = algo.index_set();
+  const MatI& d = algo.dependence_matrix();
+  DependenceLevels memo(set, d, 6);
+  DependenceLevels lone(set, d);  // a private memo lists nothing
+  EXPECT_EQ(lone.max_level(), 0);
+  for (Int f : {6, 7, 9}) {
+    const ReferenceLevel want = reference_level(set, d, f);
+    for (int request = 0; request < 3; ++request) {
+      EXPECT_EQ(expect_memo_walk(memo, f, want, want.survivors.size() / 2),
+                f == 6 && request == 2);
+      EXPECT_FALSE(expect_memo_walk(lone, f, want, want.survivors.size()));
+    }
+    EXPECT_EQ(memo.listed(f), f == 6);
+    EXPECT_FALSE(lone.listed(f));
+  }
+  EXPECT_TRUE(memo.describes(set, d));
+  EXPECT_FALSE(memo.describes(model::IndexSet(VecI{3, 3, 4}), d));
+  EXPECT_FALSE(memo.describes(set, MatI{{1, 0, 0}, {0, 1, 0}, {0, 0, 2}}));
+}
+
+TEST(DependenceLevels, LevelsPastTheBudgetWalkInline) {
+  // pi_0 > 0 alone: about 2 f^2 of the 4 f^2 + 2 candidates of level f
+  // survive, so levels 1..80 hold about 1.4M words, past kMaxWords.
+  const model::IndexSet set(VecI{1, 1, 1});
+  const MatI d{{1}, {0}, {0}};
+  const Int top = 80;
+  DependenceLevels memo(set, d, top);
+  std::size_t words = 0;
+  int unlisted = 0;
+  for (Int f = 1; f <= top; ++f) {
+    SCOPED_TRACE("f=" + std::to_string(f));
+    const ReferenceLevel want = reference_level(set, d, f);
+    const std::size_t n_surv = want.survivors.size();
+    expect_memo_walk(memo, f, want, n_surv);
+    expect_memo_walk(memo, f, want, n_surv);
+    const bool replayed = expect_memo_walk(memo, f, want, n_surv / 3);
+    EXPECT_EQ(replayed, memo.listed(f));
+    if (memo.listed(f)) {
+      words += n_surv * (set.dimension() + 1) + 1;
+    } else {
+      ++unlisted;
+    }
+  }
+  EXPECT_LE(words, DependenceLevels::kMaxWords);
+  EXPECT_GT(words, DependenceLevels::kMaxWords / 2);
+  EXPECT_GT(unlisted, 0);
+  EXPECT_FALSE(memo.listed(top));
+}
+
+TEST(DependenceLevels, UnprunableLevelsKeepTheOverflowBehaviour) {
+  // As in PrunedSweepParity.HugeDependencesWalkEveryCandidate: levels 3..
+  // fail the int64 bound and are walked in full; pi = (0, 8) overflows
+  // pi . d at level 8.
+  const Int big = Int{1} << 60;
+  const model::IndexSet set(VecI{1, 1});
+  const MatI d{{big}, {big}};
+  DependenceLevels memo(set, d, 10);
+  for (Int f = 1; f <= 7; ++f) {
+    const ReferenceLevel want = reference_level(set, d, f);
+    for (int request = 0; request < 3; ++request) {
+      const bool replayed =
+          expect_memo_walk(memo, f, want, want.survivors.size());
+      EXPECT_EQ(replayed, request == 2 && f < 3) << "f=" << f;
+    }
+    EXPECT_EQ(memo.listed(f), f < 3) << "f=" << f;
+  }
+  for (int request = 0; request < 3; ++request) {
+    std::optional<DependenceSweep> own;
+    std::uint64_t tested = 0;
+    EXPECT_THROW(memo.walk(8, tested, own, [](const VecI&) { return true; }),
+                 exact::OverflowError);
+  }
+  EXPECT_FALSE(memo.listed(8));
+}
+
+// ---------------------------------------------------------------------------
 // procedure_5_1 against the unpruned reference
 // ---------------------------------------------------------------------------
 
@@ -395,6 +572,165 @@ TEST(PrunedSweepParity, HugeDependencesWalkEveryCandidate) {
   o.min_objective = 8;  // pi = (0, 8) overflows pi . d
   EXPECT_THROW(unpruned_reference(algo, MatI(0, 2), o), exact::OverflowError);
   EXPECT_THROW(procedure_5_1(algo, MatI(0, 2), o), exact::OverflowError);
+}
+
+// ---------------------------------------------------------------------------
+// procedure_5_1 with one level memo shared across spaces
+// ---------------------------------------------------------------------------
+
+// procedure_5_1 over `spaces`, twice, all with one memo: levels become
+// listed partway through the first pass and are replayed from then on.
+// Every search must equal the same search without the memo, field for
+// field (both candidate counters included), or throw where it throws.
+// Returns how many of levels 1..max_level the memo listed.
+int expect_memo_parity(const model::UniformDependenceAlgorithm& algo,
+                       const std::vector<MatI>& spaces,
+                       const SearchOptions& base, Int max_level) {
+  DependenceLevels memo(algo.index_set(), algo.dependence_matrix(),
+                        max_level);
+  SearchOptions shared = base;
+  shared.levels = &memo;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < spaces.size(); ++i) {
+      SCOPED_TRACE(algo.name() + " pass " + std::to_string(pass) +
+                   " space " + std::to_string(i));
+      std::optional<SearchResult> want;
+      std::optional<SearchResult> got;
+      try {
+        want = procedure_5_1(algo, spaces[i], base);
+      } catch (const std::exception&) {
+      }
+      try {
+        got = procedure_5_1(algo, spaces[i], shared);
+      } catch (const std::exception&) {
+      }
+      EXPECT_EQ(want.has_value(), got.has_value());
+      if (want && got) expect_same_search(*want, *got);
+    }
+  }
+  int listed = 0;
+  for (Int f = 1; f <= max_level; ++f) listed += memo.listed(f) ? 1 : 0;
+  return listed;
+}
+
+std::vector<MatI> space_pool(std::size_t n, std::size_t dims, Int entry) {
+  SpaceSearchOptions o;
+  o.max_entry = entry;
+  o.array_dims = dims;
+  return candidate_spaces(n, o);
+}
+
+TEST(LevelMemoParity, GallerySpaceSequences) {
+  struct Case {
+    model::UniformDependenceAlgorithm algo;
+    std::size_t dims;
+  };
+  const std::vector<Case> cases = {
+      {model::matmul(3), 1},          {model::matmul(3), 2},
+      {model::transitive_closure(3), 1}, {model::lu_decomposition(3), 2},
+      {model::unit_cube_algorithm(4, 2), 1},
+      {model::unit_cube_algorithm(4, 2), 2},
+      {model::convolution_2d(2, 2, 1, 1), 1},
+  };
+  for (const Case& c : cases) {
+    const std::vector<MatI> spaces =
+        space_pool(c.algo.dimension(), c.dims, 1);
+    for (ConflictOracle oracle :
+         {ConflictOracle::kExact, ConflictOracle::kPaperTheorems}) {
+      SearchOptions o;
+      o.oracle = oracle;
+      o.max_objective = 40;
+      EXPECT_GT(expect_memo_parity(c.algo, spaces, o, 40), 0)
+          << c.algo.name();
+    }
+  }
+}
+
+TEST(LevelMemoParity, ResumedScansTargetsAndShortBounds) {
+  const model::UniformDependenceAlgorithm algo = model::matmul(4);
+  const std::vector<MatI> spaces = space_pool(3, 1, 1);
+  SearchOptions o;
+  o.max_objective = 40;
+  for (Int start : {0, 9, 13, 21}) {
+    o.min_objective = start;
+    expect_memo_parity(algo, spaces, o, 40);
+  }
+  // A memo whose bound stops short of the searches' walks the levels
+  // above it inline; one past kMaxCountedLevel lists nothing.
+  o.min_objective = 0;
+  EXPECT_GT(expect_memo_parity(algo, spaces, o, 17), 0);
+  EXPECT_EQ(expect_memo_parity(algo, spaces, o,
+                               static_cast<Int>(kMaxCountedLevel) + 1),
+            0);
+  o.target = schedule::Interconnect::nearest_neighbor(1);
+  EXPECT_GT(expect_memo_parity(algo, spaces, o, 40), 0);
+  o.target.reset();
+  o.use_fixed_space_context = false;
+  EXPECT_GT(expect_memo_parity(algo, spaces, o, 40), 0);
+}
+
+TEST(LevelMemoParity, RandomAlgorithms) {
+  Lcg rng;
+  for (int trial = 0; trial < 25; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(rng.next(2, 4));
+    const model::UniformDependenceAlgorithm algo = random_algorithm(rng, n);
+    std::vector<MatI> spaces;
+    for (int s = 0; s < 6; ++s) {
+      const std::size_t rows = static_cast<std::size_t>(
+          rng.next(0, static_cast<Int>(n) - 1));
+      MatI space(rows, n);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < n; ++c) space(r, c) = rng.next(-2, 2);
+      }
+      spaces.push_back(space);
+    }
+    SearchOptions o;
+    o.max_objective = rng.next(6, 24);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expect_memo_parity(algo, spaces, o, o.max_objective);
+  }
+}
+
+TEST(LevelMemoParity, SharedAcrossThreads) {
+  // Four threads run the space pool against one memo at once, each from
+  // a different offset so first requests, builds and replays interleave.
+  const model::UniformDependenceAlgorithm algo =
+      model::unit_cube_algorithm(4, 2);
+  const std::vector<MatI> spaces = space_pool(4, 1, 1);
+  SearchOptions o;
+  o.max_objective = 40;
+  std::vector<SearchResult> want;
+  for (const MatI& space : spaces) {
+    want.push_back(procedure_5_1(algo, space, o));
+  }
+  DependenceLevels memo(algo.index_set(), algo.dependence_matrix(), 40);
+  const std::size_t workers = 4;
+  std::vector<std::vector<SearchResult>> got(workers);
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < workers; ++w) {
+    threads.emplace_back([&, w] {
+      SearchOptions shared = o;
+      shared.levels = &memo;
+      for (std::size_t i = 0; i < spaces.size(); ++i) {
+        const std::size_t at =
+            (i + w * spaces.size() / workers) % spaces.size();
+        got[w].push_back(procedure_5_1(algo, spaces[at], shared));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t w = 0; w < workers; ++w) {
+    for (std::size_t i = 0; i < spaces.size(); ++i) {
+      const std::size_t at =
+          (i + w * spaces.size() / workers) % spaces.size();
+      SCOPED_TRACE("worker " + std::to_string(w) + " space " +
+                   std::to_string(at));
+      expect_same_search(want[at], got[w][i]);
+    }
+  }
+  int listed = 0;
+  for (Int f = 1; f <= 40; ++f) listed += memo.listed(f) ? 1 : 0;
+  EXPECT_GT(listed, 0);
 }
 
 // ---------------------------------------------------------------------------
